@@ -10,7 +10,6 @@
 #![warn(clippy::all)]
 
 pub mod experiments;
-pub mod perf;
 pub mod table;
 
 use std::env;

@@ -259,7 +259,7 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
         return Err(CodecError::new("bad bwz header"));
     }
     let total = u64::from_le_bytes(input[2..10].try_into().unwrap()) as usize;
-    out.reserve(total);
+    crate::reserve_declared(out, total, input.len());
     if total == 0 {
         return Ok(());
     }

@@ -47,7 +47,6 @@ pub mod huffman;
 pub mod lz;
 pub mod lzf;
 pub mod measure;
-pub mod parallel;
 pub mod rangez;
 pub mod registry;
 
@@ -127,6 +126,22 @@ pub trait Codec: Send + Sync {
         self.decompress(input, &mut out)?;
         Ok(out)
     }
+}
+
+/// Output a decoder pre-reserves per input byte, at most. A container's
+/// declared length is unchecked until decoding reaches it, so a flipped
+/// header byte must not turn into a multi-gigabyte allocation; real
+/// streams beyond this ratio still decode, growing `out` as they go.
+const MAX_RESERVE_RATIO: usize = 1 << 10;
+
+/// Reserves room for a container's declared `total` output bytes,
+/// trusting the header only up to [`MAX_RESERVE_RATIO`] × `input_len`.
+pub(crate) fn reserve_declared(
+    out: &mut Vec<u8>,
+    total: usize,
+    input_len: usize,
+) {
+    out.reserve(total.min(input_len.saturating_mul(MAX_RESERVE_RATIO)));
 }
 
 /// Compression factor as the paper defines it:

@@ -207,7 +207,7 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
         return Err(CodecError::new("truncated lzf header"));
     }
     let total = u64::from_le_bytes(input[1..9].try_into().unwrap()) as usize;
-    out.reserve(total);
+    crate::reserve_declared(out, total, input.len());
     let mut pos = 9usize;
     if total == 0 {
         return Ok(());

@@ -100,8 +100,9 @@ impl Measurement {
 }
 
 /// Division-safe bytes/s via the workspace-shared units helper, so this
-/// crate and `cr_bench::perf` agree on edge-case semantics (0 bytes →
-/// 0.0 even at zero elapsed; nonzero bytes at zero elapsed → ∞).
+/// crate and the `cr_obs` stage profiler agree on edge-case semantics
+/// (0 bytes → 0.0 even at zero elapsed; nonzero bytes at zero elapsed
+/// → ∞).
 fn rate(bytes: usize, secs: f64) -> f64 {
     cr_obs::units::bytes_per_s(bytes as u64, secs)
 }
@@ -152,8 +153,8 @@ mod tests {
     fn mb_accessors_share_workspace_units() {
         let data = b"units units units units units units ".repeat(500);
         let m = measure(&Lzf::new(), &data);
-        // Same decimal-MB definition as cr_obs::units (and therefore
-        // as cr_bench::perf): bytes/s divided by 1e6.
+        // Same decimal-MB definition as cr_obs::units: bytes/s
+        // divided by 1e6.
         assert!((m.compress_mb_per_s() - m.compress_rate / 1e6).abs() < 1e-12);
         assert!(
             (m.decompress_mb_per_s() - m.decompress_rate / 1e6).abs() < 1e-12

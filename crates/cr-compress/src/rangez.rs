@@ -126,11 +126,19 @@ impl<'a> RangeDecoder<'a> {
 
     #[inline]
     fn next_byte(&mut self) -> u8 {
-        // Reading past the end yields zeros; corruption is caught by the
-        // framing checks of the caller.
+        // Reading past the end yields zeros so the bit decoders stay
+        // infallible; the caller checks [`Self::overran`] once per symbol.
         let b = self.data.get(self.pos).copied().unwrap_or(0);
         self.pos += 1;
         b
+    }
+
+    /// True once the decoder has consumed a byte the encoder never
+    /// wrote. A well-formed stream never does: [`RangeEncoder::finish`]
+    /// flushes exactly the bytes the decoder's normalisations read.
+    #[inline]
+    fn overran(&self) -> bool {
+        self.pos > self.data.len()
     }
 
     #[inline]
@@ -341,7 +349,7 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
         return Err(CodecError::new("bad rz header"));
     }
     let total = u64::from_le_bytes(input[2..10].try_into().unwrap()) as usize;
-    out.reserve(total);
+    crate::reserve_declared(out, total, input.len());
     if total == 0 {
         return Ok(());
     }
@@ -350,6 +358,9 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
     let mut prev_byte = 0u8;
 
     while out.len() < total {
+        if dec.overran() {
+            return Err(CodecError::new("rz stream truncated"));
+        }
         if dec.decode_bit(&mut model.is_match[0]) == 0 {
             let b = model.literals[prev_byte as usize].decode(&mut dec) as u8;
             out.push(b);
@@ -372,6 +383,9 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
             }
             prev_byte = *out.last().expect("non-empty after match");
         }
+    }
+    if dec.overran() {
+        return Err(CodecError::new("rz stream truncated"));
     }
     Ok(())
 }
@@ -552,6 +566,30 @@ mod tests {
         let c = Rangez::new(1);
         assert!(c.decompress_to_vec(b"??").is_err());
         assert!(c.decompress_to_vec(&[MAGIC, 1, 9, 0, 0, 0]).is_err());
+    }
+
+    #[test]
+    fn inflated_length_header_errors_instead_of_decoding_zeros() {
+        // A flipped length byte once made a 1.2 KB stream decode the
+        // zeros past its end for gigabytes and return `Ok`.
+        let mut x = 0xF11Bu64;
+        let data: Vec<u8> = (0..1200)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (x >> 56) as u8
+            })
+            .collect();
+        let c = Rangez::new(6);
+        let good = c.compress_to_vec(&data);
+        for total in [data.len() as u64 + 1, 4_076_864_688, u64::MAX] {
+            let mut bad = good.clone();
+            bad[2..10].copy_from_slice(&total.to_le_bytes());
+            assert!(c.decompress_to_vec(&bad).is_err(), "total {total}");
+        }
+        // Every byte of the range stream is needed: dropping the last
+        // one is an error, not a decode of an implied zero.
+        assert!(c.decompress_to_vec(&good[..good.len() - 1]).is_err());
+        assert_eq!(c.decompress_to_vec(&good).unwrap(), data);
     }
 
     #[test]

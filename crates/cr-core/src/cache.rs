@@ -205,8 +205,8 @@ pub fn solve_cycle_cached(
 }
 
 /// Hit/miss counters of this thread's [`solve_cycle_cached`] cache
-/// (`(hits, misses)`) — surfaced so the bench harness can report the
-/// measured hit rate of a grid search.
+/// (`(hits, misses)`) — surfaced so the benchmark (`perfbench`) can
+/// report the measured hit rate of a grid search.
 pub fn global_cache_stats() -> (u64, u64) {
     GLOBAL
         .try_with(|cache| {

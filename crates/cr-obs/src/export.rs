@@ -32,7 +32,6 @@ fn source_tid(source: Source) -> u32 {
         Source::Remote => 6,
         Source::Faults => 7,
         Source::Bench => 8,
-        Source::Codec => 9,
     }
 }
 

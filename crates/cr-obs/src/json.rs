@@ -1,5 +1,6 @@
 //! Minimal JSON support shared by the observability plane: string
-//! escaping for the hand-rolled writers, and a small recursive-descent
+//! escaping for the hand-rolled writers, a [`Value`] that renders
+//! result files (`Value::render`), and a small recursive-descent
 //! parser used by the regression gate (`crx obs diff`), the exporters'
 //! round-trip tests, and `indicators/v1` loading.
 //!
@@ -36,7 +37,8 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (parsed as `f64`).
+    /// Any JSON number (parsed as `f64`). Integers below 2⁵³ are
+    /// exact and render without a fraction.
     Num(f64),
     /// A string (escapes decoded).
     Str(String),
@@ -87,6 +89,62 @@ impl Value {
             Value::Obj(members) => Some(members),
             _ => None,
         }
+    }
+
+    /// Renders with two-space indentation, object members in insertion
+    /// order, and a trailing newline. Non-finite numbers render as
+    /// `null`, so the output always parses.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, indent: usize) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Num(n) if n.is_finite() => out.push_str(&n.to_string()),
+            Value::Num(_) => out.push_str("null"),
+            Value::Str(s) => write_str(out, s),
+            Value::Arr(items) if items.is_empty() => out.push_str("[]"),
+            Value::Arr(items) => {
+                out.push_str("[\n");
+                for (i, item) in items.iter().enumerate() {
+                    pad(out, indent + 1);
+                    item.write(out, indent + 1);
+                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
+                }
+                pad(out, indent);
+                out.push(']');
+            }
+            Value::Obj(members) if members.is_empty() => out.push_str("{}"),
+            Value::Obj(members) => {
+                out.push_str("{\n");
+                for (i, (k, v)) in members.iter().enumerate() {
+                    pad(out, indent + 1);
+                    write_str(out, k);
+                    out.push_str(": ");
+                    v.write(out, indent + 1);
+                    out.push_str(if i + 1 < members.len() { ",\n" } else { "\n" });
+                }
+                pad(out, indent);
+                out.push('}');
+            }
+        }
+    }
+}
+
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+fn pad(out: &mut String, indent: usize) {
+    for _ in 0..indent {
+        out.push_str("  ");
     }
 }
 
@@ -357,6 +415,29 @@ mod tests {
             doc.push('"');
             assert_eq!(parse(&doc).unwrap(), Value::Str(raw.to_string()), "{raw:?}");
         }
+    }
+
+    #[test]
+    fn render_then_parse_round_trips() {
+        let v = Value::Obj(vec![
+            ("schema".into(), Value::Str("chaos/v1".into())),
+            ("count".into(), Value::Num(9_007_199_254_740_991.0)),
+            ("rate".into(), Value::Num(0.125)),
+            ("ok".into(), Value::Bool(true)),
+            ("none".into(), Value::Null),
+            ("hostile".into(), Value::Str("q\"b\\n\n\u{1}".into())),
+            (
+                "items".into(),
+                Value::Arr(vec![Value::Num(-3.0), Value::Obj(vec![])]),
+            ),
+            ("empty".into(), Value::Arr(vec![])),
+        ]);
+        let text = v.render();
+        assert!(text.contains("\"count\": 9007199254740991,"), "{text}");
+        assert!(text.ends_with("}\n"));
+        assert_eq!(parse(&text).unwrap(), v);
+        // Non-finite numbers have no JSON spelling: they become null.
+        assert_eq!(Value::Num(f64::NAN).render(), "null\n");
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! discrete-event replica run) and **solve** (analytic cycle-grid
 //! solving). This module accumulates wall time and byte counts per
 //! stage into process-global atomics, so instrumentation works
-//! unchanged from `ParallelCodec` worker threads and simulator replica
-//! workers, and costs one relaxed atomic load when disabled (the
-//! default).
+//! unchanged from simulator replica workers, and costs one relaxed
+//! atomic load when disabled (the default).
 //!
 //! Timing is observational only — nothing in the workspace reads these
 //! counters to make a decision — so enabling the profiler cannot

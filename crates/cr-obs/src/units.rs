@@ -1,9 +1,10 @@
 //! Shared throughput unit conversions.
 //!
 //! The paper reports compression and drain rates in **decimal**
-//! megabytes per second (1 MB = 10⁶ bytes). Both `cr_bench::perf` and
-//! `cr_compress::measure` delegate here so the bench harness and the
-//! Table 2 reproduction can never diverge on units, and so the
+//! megabytes per second (1 MB = 10⁶ bytes). Both the stage profiler
+//! ([`crate::stage`]) and `cr_compress::measure` delegate here so the
+//! per-stage rates and the Table 2 reproduction can never diverge on
+//! units, and so the
 //! division-by-zero edge (coarse clocks measuring `elapsed == 0`) is
 //! handled once:
 //!

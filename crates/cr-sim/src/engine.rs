@@ -22,7 +22,6 @@
 //! work are *rerun*, attributed to the recovery level that caused the
 //! deficit (proportionally, when deficits from both levels overlap).
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use cr_core::breakdown::Breakdown;
@@ -175,14 +174,6 @@ struct DrainJob {
     retries: u32,
 }
 
-/// How many draws each batched RNG buffer prefetches per refill.
-///
-/// Each `Stream` is dedicated to a single purpose (failures, recovery
-/// levels), so prefetching a block of draws only moves *when* they are
-/// computed, never their order: batched runs are bit-identical to
-/// draw-on-demand runs (tested below).
-const RNG_BATCH: usize = 64;
-
 struct Engine {
     // Configuration.
     mtti: f64,
@@ -196,12 +187,6 @@ struct Engine {
     levels: Stream,
     faults: SimFaults,
     fault_stream: Stream,
-    // Batched RNG draws (refilled in blocks of `RNG_BATCH`; buffers are
-    // retained across pooled reuse).
-    failure_buf: Vec<f64>,
-    failure_idx: usize,
-    level_buf: Vec<f64>,
-    level_idx: usize,
     // Application progress.
     work: f64,
     work_max: f64,
@@ -219,34 +204,34 @@ struct Engine {
 }
 
 impl Engine {
-    /// A dormant engine holding only reusable buffers. Must be
-    /// [`Engine::reset`] before use; every run-dependent field is
-    /// overwritten there.
-    fn fresh() -> Self {
+    /// An engine armed for one replica of `strat` on `sys`. Each
+    /// random stream is dedicated to one purpose, so the draw sequence
+    /// depends only on `seed`.
+    fn new(
+        sys: &SystemParams,
+        strat: &Strategy,
+        seed: u64,
+        faults: SimFaults,
+        bus: Bus,
+    ) -> Self {
+        let d = derive_costs(sys, strat);
+        let k = match strat {
+            Strategy::LocalOnly { .. } => u64::MAX,
+            _ => d.ratio as u64,
+        };
+        let mut failures = Stream::new(seed, StreamKind::Failures);
+        let next_failure = failures.exp(sys.mtti);
         Engine {
-            mtti: 1.0,
-            d: DerivedCosts {
-                interval: 0.0,
-                delta_local: 0.0,
-                t_io_host: 0.0,
-                restore_local: 0.0,
-                restore_io: 0.0,
-                ndp_drain_time: 0.0,
-                ratio: 1,
-                p_local: 0.0,
-            },
-            k: u64::MAX,
-            ndp: false,
+            mtti: sys.mtti,
+            d,
+            k,
+            ndp: matches!(strat, Strategy::LocalIoNdp { .. }),
             now: 0.0,
-            next_failure: 0.0,
-            failures: Stream::new(0, StreamKind::Failures),
-            levels: Stream::new(0, StreamKind::RecoveryLevel),
-            faults: SimFaults::default(),
-            fault_stream: Stream::new(0, StreamKind::Faults),
-            failure_buf: Vec::with_capacity(RNG_BATCH),
-            failure_idx: 0,
-            level_buf: Vec::with_capacity(RNG_BATCH),
-            level_idx: 0,
+            next_failure,
+            failures,
+            levels: Stream::new(seed, StreamKind::RecoveryLevel),
+            faults,
+            fault_stream: Stream::new(seed, StreamKind::Faults),
             work: 0.0,
             work_max: 0.0,
             deficit_local: 0.0,
@@ -257,81 +242,8 @@ impl Engine {
             drain_queue: VecDeque::new(),
             acc: Breakdown::zero(),
             stats: SimStats::default(),
-            bus: Bus::disabled(),
+            bus,
         }
-    }
-
-    /// Re-arms the engine for a new replica, reusing the drain queue and
-    /// RNG buffers left by the previous run. Post-`reset` state is
-    /// indistinguishable from a newly built engine, so pooled reuse is
-    /// bit-identical to fresh construction (tested below, interleaved
-    /// across differing configurations).
-    fn reset(&mut self, sys: &SystemParams, strat: &Strategy, seed: u64) {
-        self.mtti = sys.mtti;
-        self.d = derive_costs(sys, strat);
-        self.ndp = matches!(strat, Strategy::LocalIoNdp { .. });
-        self.k = match strat {
-            Strategy::LocalOnly { .. } => u64::MAX,
-            _ => self.d.ratio as u64,
-        };
-        self.now = 0.0;
-        self.failures.reseed(seed, StreamKind::Failures);
-        self.levels.reseed(seed, StreamKind::RecoveryLevel);
-        self.fault_stream.reseed(seed, StreamKind::Faults);
-        self.failure_buf.clear();
-        self.failure_idx = 0;
-        self.level_buf.clear();
-        self.level_idx = 0;
-        self.faults = SimFaults::default();
-        self.work = 0.0;
-        self.work_max = 0.0;
-        self.deficit_local = 0.0;
-        self.deficit_io = 0.0;
-        self.last_local = Some(0.0);
-        self.last_io = 0.0;
-        self.ckpts_since_io = 0;
-        self.drain_queue.clear();
-        self.acc = Breakdown::zero();
-        self.stats = SimStats::default();
-        self.bus = Bus::disabled();
-        // Matches `Stream::new` + first `exp` draw of the old
-        // construct-per-replica path: the first failure delay is the
-        // first value of the (now batched) failure stream.
-        self.next_failure = self.failure_delay();
-    }
-
-    /// Next failure inter-arrival delay, from the batched failure
-    /// stream.
-    #[inline]
-    fn failure_delay(&mut self) -> f64 {
-        if self.failure_idx == self.failure_buf.len() {
-            self.failure_buf.clear();
-            for _ in 0..RNG_BATCH {
-                let x = self.failures.exp(self.mtti);
-                self.failure_buf.push(x);
-            }
-            self.failure_idx = 0;
-        }
-        let x = self.failure_buf[self.failure_idx];
-        self.failure_idx += 1;
-        x
-    }
-
-    /// Next recovery-level uniform draw, from the batched level stream
-    /// (`draw < p_local` is exactly `Stream::bernoulli`).
-    #[inline]
-    fn level_uniform(&mut self) -> f64 {
-        if self.level_idx == self.level_buf.len() {
-            self.level_buf.clear();
-            for _ in 0..RNG_BATCH {
-                let x = self.levels.uniform();
-                self.level_buf.push(x);
-            }
-            self.level_idx = 0;
-        }
-        let x = self.level_buf[self.level_idx];
-        self.level_idx += 1;
-        x
     }
 
     #[inline]
@@ -493,8 +405,8 @@ impl Engine {
     fn sample_failure_level(&mut self) -> bool {
         self.stats.failures += 1;
         self.emit_mark(self.now, MarkKind::Failure);
-        self.next_failure = self.now + self.failure_delay();
-        let mut local_ok = self.level_uniform() < self.d.p_local
+        self.next_failure = self.now + self.failures.exp(self.mtti);
+        let mut local_ok = self.levels.bernoulli(self.d.p_local)
             && self.last_local.is_some();
         if local_ok
             && self.faults.p_local_corrupt > 0.0
@@ -582,7 +494,7 @@ impl Engine {
             || self.now >= opts.max_wall
     }
 
-    fn run(&mut self, opts: &SimOptions) -> SimResult {
+    fn run(mut self, opts: &SimOptions) -> SimResult {
         let _stage = stage::timer(Stage::Engine);
         let mut replica = self.bus.span(Source::Sim, "replica", 0.0);
         let tau = self.d.interval;
@@ -670,58 +582,13 @@ impl Engine {
     }
 }
 
-thread_local! {
-    /// One pooled engine per thread: replica fan-out workers reset and
-    /// rerun it instead of rebuilding streams, the drain queue and RNG
-    /// buffers for every replica, making a replica run allocation-free
-    /// after warmup.
-    static ENGINE_POOL: RefCell<Option<Box<Engine>>> =
-        const { RefCell::new(None) };
-}
-
-/// Runs `f` against this thread's pooled engine (built on first use).
-/// Falls back to a throwaway engine when the pool is unavailable
-/// (thread teardown, or a re-entrant call from inside `f`); the result
-/// is identical either way because `f` must `reset` before running.
-fn with_pooled_engine<R>(f: impl Fn(&mut Engine) -> R) -> R {
-    let pooled = ENGINE_POOL.try_with(|cell| match cell.try_borrow_mut() {
-        Ok(mut slot) => {
-            let engine = slot.get_or_insert_with(|| Box::new(Engine::fresh()));
-            Some(f(engine))
-        }
-        Err(_) => None,
-    });
-    match pooled {
-        Ok(Some(r)) => r,
-        _ => f(&mut Engine::fresh()),
-    }
-}
-
 /// Runs one simulation replica of a configuration.
 pub fn run_engine(
     sys: &SystemParams,
     strat: &Strategy,
     opts: &SimOptions,
 ) -> SimResult {
-    with_pooled_engine(|e| {
-        e.reset(sys, strat, opts.seed);
-        e.run(opts)
-    })
-}
-
-/// Runs one replica on a freshly built engine, bypassing the
-/// thread-local pool — the construct-per-replica behavior pooled reuse
-/// replaced. Kept for the bench harness (pooled-vs-cold comparison) and
-/// for tests asserting pooled reuse is bit-identical to fresh
-/// construction.
-pub fn run_engine_cold(
-    sys: &SystemParams,
-    strat: &Strategy,
-    opts: &SimOptions,
-) -> SimResult {
-    let mut e = Engine::fresh();
-    e.reset(sys, strat, opts.seed);
-    e.run(opts)
+    run_engine_faulty(sys, strat, opts, &SimFaults::default())
 }
 
 /// Runs one replica with fault injection enabled.
@@ -736,11 +603,7 @@ pub fn run_engine_faulty(
     opts: &SimOptions,
     faults: &SimFaults,
 ) -> SimResult {
-    with_pooled_engine(|e| {
-        e.reset(sys, strat, opts.seed);
-        e.faults = *faults;
-        e.run(opts)
-    })
+    run_engine_observed(sys, strat, opts, faults, &Bus::disabled())
 }
 
 /// Runs one replica with fault injection and an observability bus.
@@ -756,16 +619,7 @@ pub fn run_engine_observed(
     faults: &SimFaults,
     bus: &Bus,
 ) -> SimResult {
-    with_pooled_engine(|e| {
-        e.reset(sys, strat, opts.seed);
-        e.faults = *faults;
-        e.bus = bus.clone();
-        let result = e.run(opts);
-        // Release the caller's sink promptly; the pooled engine may sit
-        // idle for a long time.
-        e.bus = Bus::disabled();
-        result
-    })
+    Engine::new(sys, strat, opts.seed, *faults, bus.clone()).run(opts)
 }
 
 /// Runs one replica with timeline tracing enabled, returning the trace
@@ -1038,48 +892,6 @@ mod tests {
         let c =
             run_engine_faulty(&sys(), &strat, &SimOptions::quick(32), &faults);
         assert_ne!(a.stats, c.stats);
-    }
-
-    #[test]
-    fn pooled_reuse_is_bit_identical_to_cold_engines() {
-        // Interleave configurations and seeds on one thread so the
-        // pooled engine is reused across differing strategies, drain
-        // backlogs and RNG buffer fill levels; every run must match a
-        // freshly built engine bit for bit.
-        let strats = [
-            Strategy::local_io_ndp(0.85, Some(CompressionSpec::gzip1_ndp())),
-            Strategy::local_io_host(12, 0.8, None),
-            Strategy::LocalOnly { interval: None },
-            Strategy::local_io_ndp(0.5, None),
-        ];
-        for round in 0..3u64 {
-            for (i, strat) in strats.iter().enumerate() {
-                let opts = SimOptions::quick(100 + round * 10 + i as u64);
-                let pooled = run_engine(&sys(), strat, &opts);
-                let cold = run_engine_cold(&sys(), strat, &opts);
-                assert_eq!(pooled.breakdown, cold.breakdown);
-                assert_eq!(pooled.stats, cold.stats);
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_faulty_runs_leave_no_fault_state_behind() {
-        // A faulty run through the pool must not leak its fault config
-        // into the next pooled run on the same thread.
-        let strat = Strategy::local_io_ndp(0.85, None);
-        let opts = SimOptions::quick(77);
-        let before = run_engine(&sys(), &strat, &opts);
-        let faults = SimFaults {
-            p_local_corrupt: 0.3,
-            p_drain_error: 0.3,
-            ..SimFaults::default()
-        };
-        let faulty = run_engine_faulty(&sys(), &strat, &opts, &faults);
-        let after = run_engine(&sys(), &strat, &opts);
-        assert_eq!(before.breakdown, after.breakdown);
-        assert_eq!(before.stats, after.stats);
-        assert_ne!(faulty.stats, before.stats);
     }
 
     #[test]

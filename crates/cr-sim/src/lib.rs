@@ -37,16 +37,14 @@
 #![warn(clippy::all)]
 
 pub mod engine;
-pub mod par;
 pub mod rng;
 pub mod runner;
 pub mod trace;
 
 pub use engine::{
-    run_engine, run_engine_cold, run_engine_faulty, run_engine_observed,
-    run_engine_traced, SimFaults, SimOptions, SimResult, SimStats,
+    run_engine, run_engine_faulty, run_engine_observed, run_engine_traced,
+    SimFaults, SimOptions, SimResult, SimStats,
 };
-pub use par::{default_threads, par_map, par_map_in};
 pub use runner::{
     run_fleet_observed, run_fleet_observed_in, simulate, simulate_avg,
     simulate_avg_in, AveragedResult,

@@ -54,14 +54,6 @@ impl Stream {
         }
     }
 
-    /// Re-derives this stream from `(seed, kind)` in place, exactly as
-    /// [`Stream::new`] would. Lets a pooled engine re-arm its streams
-    /// without reallocating; the resulting sequence is bit-identical to
-    /// a freshly constructed stream.
-    pub fn reseed(&mut self, seed: u64, kind: StreamKind) {
-        *self = Stream::new(seed, kind);
-    }
-
     /// Samples an exponential variate with the given mean. The result
     /// is strictly positive and finite for every possible draw.
     pub fn exp(&mut self, mean: f64) -> f64 {
@@ -112,19 +104,6 @@ mod tests {
         let mut b = Stream::new(7, StreamKind::Failures);
         for _ in 0..100 {
             assert_eq!(a.exp(10.0), b.exp(10.0));
-        }
-    }
-
-    #[test]
-    fn reseed_matches_fresh_stream() {
-        let mut pooled = Stream::new(1, StreamKind::Failures);
-        for _ in 0..17 {
-            pooled.exp(3.0); // advance to an arbitrary mid-run state
-        }
-        pooled.reseed(99, StreamKind::RecoveryLevel);
-        let mut fresh = Stream::new(99, StreamKind::RecoveryLevel);
-        for _ in 0..100 {
-            assert_eq!(pooled.uniform(), fresh.uniform());
         }
     }
 

@@ -4,13 +4,13 @@
 use std::cell::Cell;
 
 use cr_core::breakdown::Breakdown;
+use cr_core::par::{default_threads, par_map_in};
 use cr_core::params::{Strategy, SystemParams};
 use cr_obs::{Bus, Event, VecSink};
 
 use crate::engine::{
     run_engine, run_engine_observed, SimFaults, SimOptions, SimResult,
 };
-use crate::par::{default_threads, par_map_in};
 
 /// Runs one simulation replica.
 pub fn simulate(
@@ -80,7 +80,7 @@ pub fn simulate_avg(
 
 /// [`simulate_avg`] with an explicit worker-thread count. Replica
 /// results are keyed only by seed, so every thread count produces
-/// bit-identical output (the sim bench asserts this).
+/// bit-identical output (`tests/sim_perf.rs` asserts this).
 pub fn simulate_avg_in(
     threads: usize,
     sys: &SystemParams,

@@ -3,8 +3,8 @@
 #
 #   build (release)  ->  tests  ->  clippy (deny warnings)
 #
-# The bench harness targets are feature-gated (`bench-harness`) and are
-# compiled — not run — here so they cannot rot.
+# The benchmark (`perfbench/`, its own package) has a self-test that CI
+# runs separately.
 #
 # Usage: scripts/tier1.sh   (from the repo root or anywhere inside it)
 
@@ -16,9 +16,6 @@ cargo build --release --offline --workspace
 
 echo "== tier1: tests =="
 cargo test --offline --workspace --quiet
-
-echo "== tier1: bench harness compiles =="
-cargo build --offline -p cr-bench --features bench-harness --benches
 
 echo "== tier1: clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
