@@ -13,17 +13,15 @@ pub struct Crc64(u64);
 
 const POLY: u64 = 0xC96C_5795_D787_0F42; // reflected ECMA-182
 
-/// Runtime table builder, kept only to cross-check the const table.
-#[cfg(test)]
-fn build_table() -> [u64; 256] {
-    build_table_const()
-}
+/// Slicing-by-16 tables (const-evaluated at compile time).
+/// `TABLES[k][i]` is the CRC state after byte `i` followed by `k` zero
+/// bytes, so `TABLES[0]` is the classic byte-at-a-time table and one
+/// 16-byte block folds in with 16 independent lookups instead of a
+/// chain of 16 dependent ones.
+static TABLES: [[u64; 256]; 16] = build_tables();
 
-/// The precomputed CRC table (const-evaluated at compile time).
-static TABLE: [u64; 256] = build_table_const();
-
-const fn build_table_const() -> [u64; 256] {
-    let mut table = [0u64; 256];
+const fn build_tables() -> [[u64; 256]; 16] {
+    let mut t = [[0u64; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u64;
@@ -36,10 +34,20 @@ const fn build_table_const() -> [u64; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        t[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 impl Default for Crc64 {
@@ -55,11 +63,29 @@ impl Crc64 {
     }
 
     /// Feeds bytes (streamable: blocks may arrive one at a time).
+    ///
+    /// Slicing-by-16: each 16-byte block is read as two little-endian
+    /// words; byte `j` of the block still has `15 - j` bytes to pass
+    /// through, so it is looked up in `TABLES[15 - j]`. The CRC is
+    /// linear over GF(2), so XORing the 16 lookups is bit-identical to
+    /// feeding the bytes one at a time. The byte loop handles the tail
+    /// of fewer than 16 bytes.
     pub fn update(&mut self, data: &[u8]) {
+        let t = &TABLES;
         let mut crc = self.0;
-        for &b in data {
-            let idx = ((crc ^ b as u64) & 0xFF) as usize;
-            crc = (crc >> 8) ^ TABLE[idx];
+        let mut blocks = data.chunks_exact(16);
+        for block in &mut blocks {
+            let (lo, hi) = block.split_at(8);
+            let a = crc ^ u64::from_le_bytes(lo.try_into().expect("8 bytes"));
+            let b = u64::from_le_bytes(hi.try_into().expect("8 bytes"));
+            crc = 0;
+            for j in 0..8 {
+                crc ^= t[15 - j][(a >> (8 * j)) as u8 as usize]
+                    ^ t[7 - j][(b >> (8 * j)) as u8 as usize];
+            }
+        }
+        for &byte in blocks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ byte as u64) & 0xFF) as usize];
         }
         self.0 = crc;
     }
@@ -120,11 +146,62 @@ mod tests {
         }
     }
 
+    /// Bit-at-a-time CRC-64/XZ register update, independent of the
+    /// const tables: the reference the slicing kernel must match.
+    fn reference_update(mut crc: u64, data: &[u8]) -> u64 {
+        for &byte in data {
+            crc ^= byte as u64;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ POLY
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        crc
+    }
+
+    fn reference_of(data: &[u8]) -> u64 {
+        reference_update(u64::MAX, data) ^ u64::MAX
+    }
+
     #[test]
-    fn runtime_and_const_tables_agree() {
-        let rt = build_table();
-        for (a, b) in rt.iter().zip(TABLE.iter()) {
-            assert_eq!(a, b);
+    fn slice_tables_match_the_bitwise_reference() {
+        for (k, table) in TABLES.iter().enumerate() {
+            for (i, &entry) in table.iter().enumerate() {
+                let mut input = vec![0u8; k + 1];
+                input[0] = i as u8;
+                assert_eq!(entry, reference_update(0, &input), "T[{k}][{i}]");
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_reference_at_every_length_and_offset() {
+        let buf: Vec<u8> =
+            (0..16 + 257).map(|i| (i * 167 + 13) as u8).collect();
+        for offset in 0..16 {
+            for len in 0..=257 {
+                let data = &buf[offset..offset + len];
+                assert_eq!(
+                    Crc64::of(data),
+                    reference_of(data),
+                    "offset {offset}, len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn update_split_anywhere_equals_one_shot() {
+        let data: Vec<u8> = (0..200).map(|i| (i * 89 + 7) as u8).collect();
+        let one_shot = Crc64::of(&data);
+        for split in 0..=data.len() {
+            let mut c = Crc64::new();
+            c.update(&data[..split]);
+            c.update(&data[split..]);
+            assert_eq!(c.finish(), one_shot, "split at {split}");
         }
     }
 

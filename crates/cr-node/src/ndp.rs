@@ -1406,7 +1406,7 @@ mod tests {
             setup(BackpressurePolicy::Pause, true, 4);
         let (slot, meta) =
             store_and_enqueue(&mut engine, &mut nvm, 1, vec![3u8; 50_000]);
-        nvm.tamper(slot, 1234).unwrap();
+        assert!(nvm.tamper(slot, 1234));
         drain_to_idle(&mut engine, &mut nvm, &mut io, &mut clock);
         assert_eq!(engine.stats.drains_source_corrupt, 1);
         assert_eq!(engine.stats.drains_completed, 0);
@@ -1430,11 +1430,54 @@ mod tests {
         }
         assert!(engine.stats.blocks_compressed > 0);
         assert!(!engine.queue[0].compression_done, "rot must strike mid-read");
-        nvm.tamper(slot, 80_000).unwrap();
+        assert!(nvm.tamper(slot, 80_000));
         drain_to_idle(&mut engine, &mut nvm, &mut io, &mut clock);
         assert_eq!(engine.stats.drains_source_corrupt, 1);
         assert!(io.read(&ObjectKey::of(&meta)).is_none(), "no torn object");
         assert_eq!(io.incomplete_count(), 0);
+    }
+
+    /// The source gate verifies the whole slot, not just the block about
+    /// to be read: rot in a block that was already compressed and
+    /// shipped still cancels the drain at the next compress step. The
+    /// chaos report depends on exactly this choice of which drains
+    /// cancel.
+    #[test]
+    fn rot_in_already_read_block_still_cancels_drain() {
+        let (mut engine, mut nvm, mut io, mut clock) =
+            setup(BackpressurePolicy::Pause, true, 4);
+        let data: Vec<u8> = (0..90_000u32).map(|i| (i % 251) as u8).collect();
+        let (slot, meta) = store_and_enqueue(&mut engine, &mut nvm, 1, data);
+        let mut clean = FaultPlane::disabled();
+        while engine.stats.blocks_shipped < 3 {
+            engine
+                .step_faulty(&mut nvm, &mut io, &mut clock, &mut clean)
+                .unwrap();
+        }
+        assert!(!engine.queue[0].compression_done);
+        assert!(engine.queue[0].offset > 4096, "block 0 already read");
+        assert!(nvm.tamper(slot, 100));
+        let compressed = engine.stats.blocks_compressed;
+        // Blocks already in the NIC may still ship; the gate must fire
+        // before any further block is read.
+        for _ in 0..16 {
+            if engine.stats.drains_source_corrupt > 0 {
+                break;
+            }
+            engine
+                .step_faulty(&mut nvm, &mut io, &mut clock, &mut clean)
+                .unwrap();
+            assert_eq!(
+                engine.stats.blocks_compressed, compressed,
+                "no further block may be read from a rotten slot"
+            );
+        }
+        assert_eq!(engine.stats.drains_source_corrupt, 1);
+        assert_eq!(engine.stats.drains_cancelled, 1);
+        assert!(engine.queue.is_empty());
+        assert!(io.read(&ObjectKey::of(&meta)).is_none(), "no remote object");
+        assert_eq!(io.incomplete_count(), 0);
+        assert!(!nvm.get(slot).unwrap().locked, "slot unlocked");
     }
 
     #[test]

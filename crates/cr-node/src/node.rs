@@ -321,7 +321,7 @@ impl ComputeNode {
         // verification at restore time, never served as fresh data.
         if self.faults.fire(FaultSite::NvmTornWrite) {
             let idx = self.faults.draw_index(data.len());
-            let _ = self.nvm.tamper(slot, idx);
+            self.nvm.tamper(slot, idx);
         }
 
         // Partner replication (§3.4): copy the checkpoint over the
@@ -445,7 +445,7 @@ impl ComputeNode {
             if self.faults.fire(FaultSite::NvmReadRot) {
                 let len = self.nvm.get(id).map_or(0, |s| s.data.len());
                 let idx = self.faults.draw_index(len);
-                let _ = self.nvm.tamper(id, idx);
+                self.nvm.tamper(id, idx);
             }
             let slot = self.nvm.get(id).expect("slot just listed");
             if slot.verify() {
@@ -478,7 +478,7 @@ impl ComputeNode {
                 let partner = self.partner.as_mut().expect("id implies store");
                 let len = partner.get(pid).map_or(0, |s| s.data.len());
                 let idx = self.faults.draw_index(len);
-                let _ = partner.tamper(pid, idx);
+                partner.tamper(pid, idx);
             }
         }
         let partner_hit = self.partner.as_ref().and_then(|partner| {
@@ -687,7 +687,7 @@ impl ComputeNode {
             .latest(Region::Uncompressed, app_id, rank)
             .map(|s| s.id);
         match id {
-            Some(id) => self.nvm.tamper(id, 17).is_ok(),
+            Some(id) => self.nvm.tamper(id, 17),
             None => false,
         }
     }

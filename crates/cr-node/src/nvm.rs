@@ -334,14 +334,17 @@ impl NvmStore {
 
     /// Fault injection for tests and chaos drills: flips one bit of a
     /// stored payload, emulating NVM bit-rot. The commit-time checksum
-    /// is left untouched so verification catches the damage.
-    pub fn tamper(&mut self, id: SlotId, byte_index: usize) -> Result<(), NvmError> {
-        let slot = self.get_mut(id).ok_or(NvmError::NoSuchSlot)?;
-        let idx = byte_index % slot.data.len().max(1);
-        if !slot.data.is_empty() {
-            slot.data[idx] ^= 0x01;
+    /// is left untouched so verification catches the damage. Returns
+    /// true iff a bit was flipped (false for a missing or empty slot).
+    pub fn tamper(&mut self, id: SlotId, byte_index: usize) -> bool {
+        match self.get_mut(id) {
+            Some(slot) if !slot.data.is_empty() => {
+                let idx = byte_index % slot.data.len();
+                slot.data[idx] ^= 0x01;
+                true
+            }
+            _ => false,
         }
-        Ok(())
     }
 
     /// Destroys all contents (node-loss failure).
@@ -486,6 +489,23 @@ mod tests {
     fn lock_missing_slot_errors() {
         let mut nvm = NvmStore::new(100, 0);
         assert_eq!(nvm.lock(SlotId(99)).unwrap_err(), NvmError::NoSuchSlot);
+    }
+
+    #[test]
+    fn tamper_reports_only_real_flips() {
+        let mut nvm = NvmStore::new(1000, 0);
+        let empty = nvm
+            .write(Region::Uncompressed, meta(1, 0), Vec::new())
+            .unwrap();
+        assert!(!nvm.tamper(empty, 17), "empty slot has no bit to flip");
+        assert!(nvm.get(empty).unwrap().verify());
+        assert!(!nvm.tamper(SlotId(99), 0), "missing slot");
+        let full = nvm
+            .write(Region::Uncompressed, meta(2, 10), vec![5u8; 10])
+            .unwrap();
+        assert!(nvm.tamper(full, 17));
+        assert_eq!(nvm.get(full).unwrap().data[7], 5 ^ 0x01);
+        assert!(!nvm.get(full).unwrap().verify());
     }
 
     #[test]
