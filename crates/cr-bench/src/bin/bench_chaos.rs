@@ -17,8 +17,9 @@
 //! fault plane quiesced so the prediction itself cannot be perturbed).
 //!
 //! Episodes are seeded independently (`splitmix(seed ^ splitmix(index))`)
-//! and run in parallel on the workspace work-stealing executor; their
-//! outputs are folded in episode order, so everything is derived from
+//! and run in parallel on the workspace's parallel map (workers claim
+//! one episode at a time from a shared cursor); their outputs are
+//! folded in episode order, so everything is derived from
 //! `CHAOS_SEED` and two runs with the same seed produce byte-identical
 //! reports at any worker count — including the CRC-64 digest of all
 //! fault logs. Knobs, all via environment:
@@ -34,7 +35,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-use cr_core::par::par_map_chunked;
+use cr_core::par::par_map;
 use cr_node::faults::{FaultPlaneConfig, FAULT_SITES};
 use cr_node::integrity::Crc64;
 use cr_node::ndp::{BackpressurePolicy, IncrementalPolicy, StepOutcome};
@@ -537,8 +538,7 @@ fn main() {
     // drained-per-episode ring did when episodes ran sequentially.
     let obs = opts.obs.is_some();
     let indices: Vec<u64> = (0..opts.episodes).collect();
-    let outputs =
-        par_map_chunked(&indices, |&e| run_episode(e, opts.seed, obs));
+    let outputs = par_map(&indices, |&e| run_episode(e, opts.seed, obs));
     let mut metrics = Metrics::new();
     for (e, out) in outputs.iter().enumerate() {
         totals.add(&out.totals);

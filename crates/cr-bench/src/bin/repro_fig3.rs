@@ -4,12 +4,28 @@
 //!
 //! To make the structure visible at terminal width, the system is
 //! scaled so activities have comparable spans (failures off: MTTI is
-//! set enormous).
+//! set enormous). Each panel is drawn from the replica's observability
+//! events by [`ascii_timeline`].
 
 use cr_bench::table::pct;
 use cr_core::params::{Strategy, SystemParams};
 use cr_core::units::*;
-use cr_sim::{run_engine_traced, SimOptions};
+use cr_obs::export::ascii_timeline;
+use cr_obs::{Bus, Event, EventKind, VecSink};
+use cr_sim::{run_engine_observed, SimFaults, SimOptions, SimResult};
+
+/// Runs one replica (no injected faults) and returns its result and
+/// event stream.
+fn observed(
+    sys: &SystemParams,
+    strat: &Strategy,
+    opts: &SimOptions,
+) -> (SimResult, Vec<Event>) {
+    let bus = Bus::with_sink(VecSink::new());
+    let faults = SimFaults::default();
+    let res = run_engine_observed(sys, strat, opts, &faults, &bus);
+    (res, bus.drain())
+}
 
 fn main() {
     // A demonstration system: local commits and I/O writes visible at
@@ -30,8 +46,8 @@ fn main() {
     let window = 2800.0;
     println!("(a) two-level checkpointing, host writes to I/O (every 4th ckpt):\n");
     let host = Strategy::local_io_host(4, 0.85, None);
-    let (res_a, trace_a) = run_engine_traced(&sys, &host, &opts);
-    print!("{}", trace_a.render_ascii(0.0, window, 100));
+    let (res_a, events_a) = observed(&sys, &host, &opts);
+    print!("{}", ascii_timeline(&events_a, 0.0, window, 100));
     println!(
         "progress in window: {} (host blocks on every 'W')\n",
         pct(res_a.breakdown.progress_rate())
@@ -39,8 +55,8 @@ fn main() {
 
     println!("(b) two-level checkpointing with NDP drains:\n");
     let ndp = Strategy::local_io_ndp(0.85, None);
-    let (res_b, trace_b) = run_engine_traced(&sys, &ndp, &opts);
-    print!("{}", trace_b.render_ascii(0.0, window, 100));
+    let (res_b, events_b) = observed(&sys, &ndp, &opts);
+    print!("{}", ascii_timeline(&events_b, 0.0, window, 100));
     println!(
         "progress in window: {} (drains 'd' run under compute; '^' marks I/O durability)\n",
         pct(res_b.breakdown.progress_rate())
@@ -58,12 +74,14 @@ fn main() {
         min_work: 0.0,
         max_wall: 1e12,
     };
-    let (_, trace_c) = run_engine_traced(&sys_f, &ndp, &opts_f);
-    let end = trace_c
-        .spans
+    let (_, events_c) = observed(&sys_f, &ndp, &opts_f);
+    let end = events_c
         .iter()
-        .map(|s| s.t1)
+        .filter_map(|e| match e.kind {
+            EventKind::Span { t1, .. } => Some(t1),
+            _ => None,
+        })
         .fold(0.0f64, f64::max)
         .min(4000.0);
-    print!("{}", trace_c.render_ascii(0.0, end, 100));
+    print!("{}", ascii_timeline(&events_c, 0.0, end, 100));
 }

@@ -10,7 +10,7 @@
 //! bit-identical to an uncached solve (a property test holds this over a
 //! seeded parameter grid). [`solve_cycle_many`] batches grid evaluation:
 //! duplicates are solved once and large unique sets fan out over the
-//! work-stealing executor ([`crate::par`]).
+//! parallel map ([`crate::par`]).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -224,9 +224,9 @@ const PAR_SOLVE_THRESHOLD: usize = 256;
 /// Solves a batch of configurations, in input order.
 ///
 /// Duplicate configurations (bit-identical, per [`CycleCache`] keying)
-/// are solved once. Large unique sets are solved in parallel on the
-/// work-stealing executor; the output is index-addressed either way, so
-/// the result order is deterministic.
+/// are solved once. Large unique sets are solved in parallel with
+/// [`crate::par::par_map`]; the output is index-addressed either way,
+/// so the result order is deterministic.
 pub fn solve_cycle_many(
     pairs: &[(SystemParams, Strategy)],
 ) -> Vec<CycleSolution> {
@@ -243,7 +243,7 @@ pub fn solve_cycle_many(
     }
     let solved: Vec<CycleSolution> = if unique.len() >= PAR_SOLVE_THRESHOLD
     {
-        crate::par::par_map_chunked(&unique, |&i| {
+        crate::par::par_map(&unique, |&i| {
             solve_cycle(&pairs[i].0, &pairs[i].1)
         })
     } else {

@@ -1,6 +1,6 @@
-//! Chrome trace-event export: renders an event stream (or several
-//! per-node streams) as a JSON document loadable in `chrome://tracing`
-//! and Perfetto.
+//! Timeline export: renders an event stream (or several per-node
+//! streams) as a JSON document loadable in `chrome://tracing` and
+//! Perfetto, or as the ASCII Figure 3 timeline ([`ascii_timeline`]).
 //!
 //! Mapping:
 //!
@@ -241,6 +241,81 @@ fn render(rows: &[Row]) -> String {
     s
 }
 
+/// Renders the simulator's Figure 3 timeline between `from` and `to`
+/// seconds in `width` columns: a host lane, an NDP lane and a mark row,
+/// read straight from the [`EventKind::Span`] and [`EventKind::Mark`]
+/// events. Spans and marks with unknown names, and every other event,
+/// are skipped; spans outside the window are clipped.
+///
+/// # Panics
+///
+/// If `to <= from` (or either is NaN) or `width < 10`.
+pub fn ascii_timeline(
+    events: &[Event],
+    from: f64,
+    to: f64,
+    width: usize,
+) -> String {
+    assert!(to > from && width >= 10);
+    let scale = width as f64 / (to - from);
+    let col =
+        |t: f64| -> usize { (((t - from) * scale) as usize).min(width - 1) };
+    let mut host = vec![b' '; width];
+    let mut ndp = vec![b' '; width];
+    let mut marks = vec![b' '; width];
+
+    for e in events {
+        match e.kind {
+            EventKind::Span {
+                lane, span, t0, t1, ..
+            } => {
+                let row = match lane {
+                    "host" => &mut host,
+                    "ndp" => &mut ndp,
+                    _ => continue,
+                };
+                let ch = match span {
+                    "compute" => b'=',
+                    "ckpt_local" => b'L',
+                    "ckpt_io" => b'W',
+                    "restore_local" => b'r',
+                    "restore_io" => b'R',
+                    "drain" => b'd',
+                    _ => continue,
+                };
+                if t1 < from || t0 > to {
+                    continue;
+                }
+                let (a, b) = (col(t0.max(from)), col(t1.min(to)));
+                for c in row.iter_mut().take(b + 1).skip(a) {
+                    *c = ch;
+                }
+            }
+            EventKind::Mark { mark } => {
+                let ch = match mark {
+                    "failure" => b'X',
+                    "io_durable" => b'^',
+                    _ => continue,
+                };
+                if e.t >= from && e.t <= to {
+                    marks[col(e.t)] = ch;
+                }
+            }
+            _ => {}
+        }
+    }
+
+    let legend = "legend: = compute | L local ckpt | W host I/O write | \
+                  r/R restore local/IO | d NDP drain | X failure | ^ I/O durable";
+    format!(
+        "HOST |{}|\nNDP  |{}|\n     |{}|\n{}\n",
+        String::from_utf8_lossy(&host),
+        String::from_utf8_lossy(&ndp),
+        String::from_utf8_lossy(&marks),
+        legend
+    )
+}
+
 /// Structural validity check used by the tests and the `crx export`
 /// smoke path: the document must parse, every `(pid, tid)` track must
 /// have non-decreasing timestamps, duration (`B`/`E`) events must
@@ -474,5 +549,151 @@ mod tests {
         }];
         let text = chrome_trace(&events);
         validate_chrome_trace(&text).unwrap();
+    }
+
+    fn timeline_sample() -> Vec<Event> {
+        vec![
+            sim_span(0.0, 100.0, "compute"),
+            sim_span(100.0, 110.0, "ckpt_local"),
+            Event {
+                t: 20.0,
+                source: Source::Sim,
+                kind: EventKind::Span {
+                    lane: "ndp",
+                    span: "drain",
+                    t0: 20.0,
+                    t1: 90.0,
+                    interrupted: false,
+                },
+            },
+            Event {
+                t: 50.0,
+                source: Source::Sim,
+                kind: EventKind::Mark { mark: "failure" },
+            },
+        ]
+    }
+
+    #[test]
+    fn ascii_render_contains_lanes_and_marks() {
+        let s = ascii_timeline(&timeline_sample(), 0.0, 120.0, 60);
+        assert!(s.contains("HOST |"));
+        assert!(s.contains("NDP  |"));
+        assert!(s.contains('='));
+        assert!(s.contains('L'));
+        assert!(s.contains('d'));
+        assert!(s.contains('X'));
+        assert!(s.contains("legend"));
+    }
+
+    #[test]
+    fn out_of_window_spans_are_clipped() {
+        let s = ascii_timeline(&timeline_sample(), 200.0, 300.0, 40);
+        // Nothing in window: lanes blank.
+        let host_line = s.lines().next().unwrap();
+        assert!(!host_line.contains('='));
+    }
+
+    /// The three timeline rows (host, NDP, marks) with their frames
+    /// stripped.
+    fn rows(s: &str) -> Vec<&str> {
+        s.lines()
+            .take(3)
+            .map(|l| l[6..].trim_end_matches('|'))
+            .collect()
+    }
+
+    #[test]
+    fn adversarial_streams_never_panic() {
+        let ev = |t: f64, source: Source, kind: EventKind| Event {
+            t,
+            source,
+            kind,
+        };
+        // Unclosed causal spans, out-of-order timestamps, orphan
+        // closes, unknown span/lane/mark names, events from every
+        // source — a hostile stream must render a (possibly blank)
+        // timeline, never panic.
+        let events = vec![
+            ev(
+                9.0,
+                Source::Sim,
+                EventKind::SpanOpen {
+                    id: 5,
+                    parent: 99,
+                    name: "never_closed",
+                },
+            ),
+            ev(3.0, Source::Sim, EventKind::SpanClose { id: 777 }),
+            ev(
+                5.0,
+                Source::Sim,
+                EventKind::Span {
+                    lane: "submarine",
+                    span: "snorkel",
+                    t0: 8.0,
+                    t1: 2.0, // t1 < t0
+                    interrupted: true,
+                },
+            ),
+            ev(
+                1.0, // timestamps regress
+                Source::Sim,
+                EventKind::Mark {
+                    mark: "not_a_known_mark",
+                },
+            ),
+            ev(0.5, Source::Faults, EventKind::LockContention),
+            ev(
+                0.0,
+                Source::Ndp,
+                EventKind::DrainStall {
+                    cause: "nic_backpressure",
+                },
+            ),
+            ev(
+                -4.0,
+                Source::Sim,
+                EventKind::Span {
+                    lane: "host",
+                    span: "compute",
+                    t0: -4.0,
+                    t1: -1.0,
+                    interrupted: false,
+                },
+            ),
+            ev(
+                f64::NAN,
+                Source::Sim,
+                EventKind::Span {
+                    lane: "ndp",
+                    span: "drain",
+                    t0: f64::NAN,
+                    t1: f64::INFINITY,
+                    interrupted: false,
+                },
+            ),
+        ];
+        // Unknown names are skipped, known ones drawn (even with odd
+        // timestamps): the compute span covers the first half of the
+        // window, and nothing lands on the mark row.
+        let s = ascii_timeline(&events, -5.0, 1.0, 30);
+        let rows = rows(&s);
+        assert!(rows[0].contains('=') && rows[0].ends_with(' '));
+        assert!(rows[2].trim().is_empty());
+    }
+
+    #[test]
+    fn empty_and_unknown_only_streams_yield_empty_traces() {
+        let blank = |events: &[Event]| {
+            let s = ascii_timeline(events, 0.0, 10.0, 20);
+            rows(&s).iter().all(|r| r.len() == 20 && r.trim().is_empty())
+        };
+        assert!(blank(&[]));
+        assert!(blank(&[Event {
+            t: 1.0,
+            source: Source::Bench,
+            kind: EventKind::Mark { mark: "mystery" },
+        }]));
     }
 }

@@ -28,10 +28,9 @@ use cr_core::breakdown::Breakdown;
 use cr_core::params::{derive_costs, DerivedCosts, Strategy, SystemParams};
 
 use cr_obs::stage::{self, Stage};
-use cr_obs::{Bus, Event, EventKind, Source, VecSink};
+use cr_obs::{Bus, Event, EventKind, Source};
 
 use crate::rng::{Stream, StreamKind};
-use crate::trace::{Lane, MarkKind, SpanKind, Trace};
 
 /// Controls simulation length and reproducibility.
 #[derive(Debug, Clone, Copy)]
@@ -246,11 +245,14 @@ impl Engine {
         }
     }
 
+    /// Emits a Figure 3 timeline span; `lane` is `"host"` or `"ndp"`,
+    /// `span` the activity (`"compute"`, `"ckpt_local"`, `"ckpt_io"`,
+    /// `"restore_local"`, `"restore_io"`, `"drain"`).
     #[inline]
     fn emit_span(
         &self,
-        lane: Lane,
-        kind: SpanKind,
+        lane: &'static str,
+        span: &'static str,
         t0: f64,
         t1: f64,
         interrupted: bool,
@@ -260,8 +262,8 @@ impl Engine {
                 t: t0,
                 source: Source::Sim,
                 kind: EventKind::Span {
-                    lane: lane.name(),
-                    span: kind.name(),
+                    lane,
+                    span,
                     t0,
                     t1,
                     interrupted,
@@ -270,12 +272,13 @@ impl Engine {
         }
     }
 
+    /// Emits an instantaneous mark (`"failure"` or `"io_durable"`).
     #[inline]
-    fn emit_mark(&self, t: f64, kind: MarkKind) {
+    fn emit_mark(&self, t: f64, mark: &'static str) {
         self.bus.emit_with(|| Event {
             t,
             source: Source::Sim,
-            kind: EventKind::Mark { mark: kind.name() },
+            kind: EventKind::Mark { mark },
         });
     }
 
@@ -320,16 +323,10 @@ impl Engine {
             self.last_io = content;
             self.drain_queue.pop_front();
             self.stats.io_ckpts += 1;
-            self.emit_mark(base_t + consumed, MarkKind::IoDurable);
+            self.emit_mark(base_t + consumed, "io_durable");
         }
         if had_work {
-            self.emit_span(
-                Lane::Ndp,
-                SpanKind::Drain,
-                base_t,
-                base_t + consumed,
-                false,
-            );
+            self.emit_span("ndp", "drain", base_t, base_t + consumed, false);
         }
     }
 
@@ -359,13 +356,8 @@ impl Engine {
         self.acc.compute += dt - rerun_dt;
         self.work += dt;
         self.work_max = self.work_max.max(self.work);
-        self.emit_span(
-            Lane::Host,
-            SpanKind::Compute,
-            self.now,
-            self.now + dt,
-            outcome == Outcome::Interrupted,
-        );
+        let cut = outcome == Outcome::Interrupted;
+        self.emit_span("host", "compute", self.now, self.now + dt, cut);
         self.now += dt;
         outcome
     }
@@ -377,25 +369,17 @@ impl Engine {
         } else {
             (self.next_failure - self.now, Outcome::Interrupted)
         };
-        match bucket {
-            Bucket::CkptLocal => self.acc.checkpoint_local += dt,
-            Bucket::CkptIo => self.acc.checkpoint_io += dt,
-            Bucket::RestoreLocal => self.acc.restore_local += dt,
-            Bucket::RestoreIo => self.acc.restore_io += dt,
-        }
-        let kind = match bucket {
-            Bucket::CkptLocal => SpanKind::CkptLocal,
-            Bucket::CkptIo => SpanKind::CkptIo,
-            Bucket::RestoreLocal => SpanKind::RestoreLocal,
-            Bucket::RestoreIo => SpanKind::RestoreIo,
+        let (acc, span) = match bucket {
+            Bucket::CkptLocal => (&mut self.acc.checkpoint_local, "ckpt_local"),
+            Bucket::CkptIo => (&mut self.acc.checkpoint_io, "ckpt_io"),
+            Bucket::RestoreLocal => {
+                (&mut self.acc.restore_local, "restore_local")
+            }
+            Bucket::RestoreIo => (&mut self.acc.restore_io, "restore_io"),
         };
-        self.emit_span(
-            Lane::Host,
-            kind,
-            self.now,
-            self.now + dt,
-            outcome == Outcome::Interrupted,
-        );
+        *acc += dt;
+        let cut = outcome == Outcome::Interrupted;
+        self.emit_span("host", span, self.now, self.now + dt, cut);
         self.now += dt;
         outcome
     }
@@ -404,7 +388,7 @@ impl Engine {
     /// immediate consequences (node loss destroys local state).
     fn sample_failure_level(&mut self) -> bool {
         self.stats.failures += 1;
-        self.emit_mark(self.now, MarkKind::Failure);
+        self.emit_mark(self.now, "failure");
         self.next_failure = self.now + self.failures.exp(self.mtti);
         let mut local_ok = self.levels.bernoulli(self.d.p_local)
             && self.last_local.is_some();
@@ -539,7 +523,7 @@ impl Engine {
                                 self.last_io = self.work;
                                 self.stats.io_ckpts += 1;
                                 self.ckpts_since_io = 0;
-                                self.emit_mark(self.now, MarkKind::IoDurable);
+                                self.emit_mark(self.now, "io_durable");
                                 io_span.close(self.now);
                                 break;
                             }
@@ -620,29 +604,6 @@ pub fn run_engine_observed(
     bus: &Bus,
 ) -> SimResult {
     Engine::new(sys, strat, opts.seed, *faults, bus.clone()).run(opts)
-}
-
-/// Runs one replica with timeline tracing enabled, returning the trace
-/// alongside the result (Figure 3 rendering; traces grow with run
-/// length, so prefer short runs).
-///
-/// This is a thin wrapper over [`run_engine_observed`] with an
-/// unbounded [`VecSink`]: the timeline is reconstructed from the event
-/// stream via [`Trace::from_events`].
-pub fn run_engine_traced(
-    sys: &SystemParams,
-    strat: &Strategy,
-    opts: &SimOptions,
-) -> (SimResult, Trace) {
-    let bus = Bus::with_sink(VecSink::default());
-    let result = run_engine_observed(
-        sys,
-        strat,
-        opts,
-        &SimFaults::default(),
-        &bus,
-    );
-    (result, Trace::from_events(&bus.drain()))
 }
 
 #[cfg(test)]

@@ -39,14 +39,12 @@
 pub mod engine;
 pub mod rng;
 pub mod runner;
-pub mod trace;
 
 pub use engine::{
-    run_engine, run_engine_faulty, run_engine_observed, run_engine_traced,
-    SimFaults, SimOptions, SimResult, SimStats,
+    run_engine, run_engine_faulty, run_engine_observed, SimFaults,
+    SimOptions, SimResult, SimStats,
 };
 pub use runner::{
     run_fleet_observed, run_fleet_observed_in, simulate, simulate_avg,
     simulate_avg_in, AveragedResult,
 };
-pub use trace::Trace;

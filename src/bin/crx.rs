@@ -57,12 +57,24 @@ impl Flags {
             .map(|(_, v)| v.as_str())
     }
 
+    /// A finite number (`nan` and `inf` are rejected).
     fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
         match self.get(key) {
             None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key}: not a number: {v}")),
+            Some(v) => match v.parse::<f64>() {
+                Ok(x) if x.is_finite() => Ok(x),
+                _ => Err(format!("--{key}: not a finite number: {v}")),
+            },
+        }
+    }
+
+    /// [`Flags::get_f64`] that must also be `> 0`.
+    fn get_positive(&self, key: &str, default: f64) -> Result<f64, String> {
+        let x = self.get_f64(key, default)?;
+        if x > 0.0 {
+            Ok(x)
+        } else {
+            Err(format!("--{key} must be > 0, got {x}"))
         }
     }
 
@@ -84,10 +96,10 @@ impl Flags {
 /// GB, `--nvm` GB/s, `--io` MB/s per node).
 fn system_from(flags: &Flags) -> Result<SystemParams, String> {
     Ok(SystemParams {
-        mtti: flags.get_f64("mtti", 30.0)? * MINUTE,
-        checkpoint_bytes: flags.get_f64("size", 112.0)? * GB,
-        local_bw: flags.get_f64("nvm", 15.0)? * GB,
-        io_bw_per_node: flags.get_f64("io", 100.0)? * MB,
+        mtti: flags.get_positive("mtti", 30.0)? * MINUTE,
+        checkpoint_bytes: flags.get_positive("size", 112.0)? * GB,
+        local_bw: flags.get_positive("nvm", 15.0)? * GB,
+        io_bw_per_node: flags.get_positive("io", 100.0)? * MB,
     })
 }
 
@@ -98,11 +110,10 @@ fn strategy_from(
     sys: &SystemParams,
 ) -> Result<Strategy, String> {
     let p_local = flags.get_f64("p-local", 0.85)?;
-    let interval = if flags.has("interval") {
-        Some(flags.get_f64("interval", 150.0)?)
-    } else {
-        Some(150.0)
-    };
+    if !(0.0..=1.0).contains(&p_local) {
+        return Err(format!("--p-local must be in [0, 1], got {p_local}"));
+    }
+    let interval = Some(flags.get_positive("interval", 150.0)?);
     let factor = if flags.has("compress") {
         Some(flags.get_f64("compress", 0.73)?)
     } else {
@@ -122,7 +133,11 @@ fn strategy_from(
                     interval,
                     ratio: r
                         .parse()
-                        .map_err(|_| format!("--ratio: bad value {r}"))?,
+                        .ok()
+                        .filter(|&k| k >= 1)
+                        .ok_or_else(|| {
+                            format!("--ratio: want an integer >= 1, got {r}")
+                        })?,
                     p_local,
                     compression: comp,
                 },
@@ -325,6 +340,9 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
         let mut sys = system_from(flags)?;
         let mut flags_p = String::new();
         match param.as_str() {
+            "mtti" | "size" if x <= 0.0 => {
+                return Err(format!("--param {param}: values must be > 0"))
+            }
             "mtti" => sys.mtti = x * MINUTE,
             "size" => sys.checkpoint_bytes = x * GB,
             "p-local" => flags_p = format!("{x}"),
@@ -399,11 +417,12 @@ fn cmd_sizing(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_trace(flags: &Flags) -> Result<(), String> {
+    use ndp_checkpoint::cr_obs::export::ascii_timeline;
     use ndp_checkpoint::cr_obs::metrics::Metrics;
     use ndp_checkpoint::cr_obs::{
         Bus, EventKind, JsonLinesSink, RingSink, VecSink,
     };
-    use ndp_checkpoint::cr_sim::{run_engine_observed, SimFaults, Trace};
+    use ndp_checkpoint::cr_sim::{run_engine_observed, SimFaults};
 
     let sys = system_from(flags)?;
     let strat = strategy_from(flags, &sys)?;
@@ -431,12 +450,11 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
         run_engine_observed(&sys, &strat, &opts, &SimFaults::default(), &bus);
 
     // The json sink renders eagerly; vec/ring retain events we can
-    // rebuild the timeline (and metrics) from. Read the drop count
+    // draw the timeline (and count metrics) from. Read the drop count
     // before draining so it reflects the run just observed.
     let dropped = bus.dropped();
     let rendered = bus.render();
     let events = bus.drain();
-    let trace = Trace::from_events(&events);
 
     println!("strategy: {} | seed {}", strat.label(), opts.seed);
     let drop_note = if dropped > 0 {
@@ -459,7 +477,7 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
         if to <= from {
             return Err(format!("--to ({to}) must exceed --from ({from})"));
         }
-        print!("{}", trace.render_ascii(from, to, width));
+        print!("{}", ascii_timeline(&events, from, to, width));
     }
     if sink_name == "json" {
         print!("{rendered}");

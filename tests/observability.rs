@@ -6,11 +6,11 @@
 use ndp_checkpoint::cr_node::faults::FaultPlaneConfig;
 use ndp_checkpoint::cr_node::ndp::StepOutcome;
 use ndp_checkpoint::cr_node::node::{ComputeNode, NodeConfig};
+use ndp_checkpoint::cr_obs::export::ascii_timeline;
 use ndp_checkpoint::cr_obs::metrics::{bucket_bound, bucket_index, Metrics};
 use ndp_checkpoint::cr_obs::{Bus, JsonLinesSink, RingSink, VecSink};
 use ndp_checkpoint::cr_sim::{
-    run_engine_faulty, run_engine_observed, run_engine_traced, SimFaults,
-    SimOptions, Trace,
+    run_engine_faulty, run_engine_observed, SimFaults, SimOptions,
 };
 use ndp_checkpoint::prelude::*;
 
@@ -77,26 +77,34 @@ fn json_event_stream_is_deterministic() {
     assert_eq!(a, b);
 }
 
-/// `run_engine_traced` is now a thin wrapper over the bus: rebuilding
-/// the timeline from the raw event stream must agree with it exactly.
+/// Golden Fig. 3 panel (a) — `repro_fig3`'s host-writes-to-I/O
+/// timeline (seed 3, failure-free, 2800 s window, 100 columns) — drawn
+/// from the events of an observed run. Pins the engine's span/mark
+/// names and times and the renderer's characters, clipping and legend.
 #[test]
-fn trace_rebuilt_from_events_matches_traced_run() {
-    let opts = SimOptions::quick(11);
-    let (r1, trace) = run_engine_traced(&sys(), &strat(), &opts);
+fn fig3_panel_a_renders_golden_timeline() {
+    let sys = SystemParams {
+        mtti: 1e9,
+        checkpoint_bytes: 112.0 * GB,
+        local_bw: 5.0 * GB,
+        io_bw_per_node: 250.0 * MB,
+    };
+    let opts = SimOptions {
+        seed: 3,
+        min_failures: 0,
+        min_work: 3600.0,
+        max_wall: 1e12,
+    };
+    let host = Strategy::local_io_host(4, 0.85, None);
     let bus = Bus::with_sink(VecSink::new());
-    let r2 = run_engine_observed(
-        &sys(),
-        &strat(),
-        &opts,
-        &SimFaults::default(),
-        &bus,
+    run_engine_observed(&sys, &host, &opts, &SimFaults::default(), &bus);
+    let expected = concat!(
+        "HOST |=====L=====L=====L=====LWWWWWWWWWWWWWWWW=====L============L=====LWWWWWWWWWWWWWWWW=====L=====L=====L=|\n",
+        "NDP  |                                                                                                    |\n",
+        "     |                                        ^                                        ^                  |\n",
+        "legend: = compute | L local ckpt | W host I/O write | r/R restore local/IO | d NDP drain | X failure | ^ I/O durable\n",
     );
-    let rebuilt = Trace::from_events(&bus.drain());
-    assert_eq!(r1.breakdown, r2.breakdown);
-    assert_eq!(trace.spans, rebuilt.spans);
-    assert_eq!(trace.marks, rebuilt.marks);
-    assert!(!rebuilt.spans.is_empty());
-    assert!(!rebuilt.marks.is_empty());
+    assert_eq!(ascii_timeline(&bus.drain(), 0.0, 2800.0, 100), expected);
 }
 
 fn chaos_node(bus: Option<&Bus>) -> ComputeNode {

@@ -1,9 +1,9 @@
-//! Determinism of the simulation plane under the work-stealing
-//! executor: every thread count must produce bit-identical replica
-//! results, observed event streams, and sweep outputs for a pinned
-//! seed — parallelism is a pure performance change, never a semantic
-//! one. The pinned-seed simulator indicators are held against the
-//! checked-in `results/BENCH_sim_indicators.json`.
+//! Determinism of the simulation plane under the cursor parallel map
+//! (`cr_core::par`): every thread count must produce bit-identical
+//! replica results, observed event streams, and sweep outputs for a
+//! pinned seed — parallelism is a pure performance change, never a
+//! semantic one. The pinned-seed simulator indicators are held against
+//! the checked-in `results/BENCH_sim_indicators.json`.
 
 use ndp_checkpoint::cr_core::cache::{solve_cycle_cached, solve_cycle_many};
 use ndp_checkpoint::cr_core::{analytic, ratio_opt};

@@ -217,3 +217,29 @@ fn crx_obs_diff_exit_codes() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Bad numeric flags are `error:` lines with exit code 1 — never a
+/// panic (exit 101) and never a simulation that cannot finish.
+#[test]
+fn crx_rejects_bad_numeric_flags() {
+    let crx = env!("CARGO_BIN_EXE_crx");
+    let cases: &[&[&str]] = &[
+        &["trace", "--from", "nan"],
+        &["evaluate", "--mtti", "nan"],
+        &["evaluate", "--mtti", "0"],
+        &["evaluate", "--p-local", "2"],
+        &["evaluate", "--strategy", "host", "--ratio", "0"],
+        &["evaluate", "--mtti", "-5"],
+        &["evaluate", "--mtti", "inf"],
+        &["evaluate", "--interval", "nan"],
+        &["trace", "--mtti", "-5"],
+        &["sweep", "--param", "mtti", "--from", "0"],
+    ];
+    for args in cases {
+        let out = Command::new(crx).args(*args).output().expect("run crx");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
