@@ -1,9 +1,9 @@
 //! One function per table/figure of the paper's evaluation section.
 //!
-//! Every function returns plain data; the `repro_*` binaries render it
-//! and the integration tests assert the paper's qualitative claims on
-//! it. Simulation-backed experiments take [`crate::ReproOpts`] so tests
-//! can run them at reduced fidelity.
+//! Every function returns plain data; [`crate::repro`] renders it for
+//! `crx repro <id>` and the integration tests assert the paper's
+//! qualitative claims on it. Simulation-backed experiments take
+//! [`crate::ReproOpts`] so tests can run them at reduced fidelity.
 
 use cr_core::breakdown::Breakdown;
 use cr_core::ndp_sizing::{self, NdpSizing, UtilityProfile, PAPER_TABLE2};

@@ -1,25 +1,21 @@
 //! # cr-bench — the reproduction harness
 //!
-//! One function per table/figure of the paper's evaluation, shared by
-//! the `repro_*` binaries (which print them) and the workspace
-//! integration tests (which assert their shape). See DESIGN.md §4 for
-//! the experiment index and EXPERIMENTS.md for paper-vs-measured
-//! numbers.
+//! One function per table/figure of the paper's evaluation
+//! ([`experiments`]), rendered as text by [`repro`] for `crx repro
+//! <id>` and asserted on by the workspace integration tests. See
+//! DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
+//! paper-vs-measured numbers.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod experiments;
+pub mod repro;
 pub mod table;
 
-use std::env;
-
-/// Runtime knobs for the repro binaries, read from the environment:
-///
-/// * `REPRO_REPLICAS` — simulation replicas per data point (default 4)
-/// * `REPRO_FAILURES` — failures injected per replica (default 2000)
-/// * `REPRO_MB` — synthetic checkpoint image size in MiB (default 8)
-/// * `REPRO_SEED` — base seed (default 42)
+/// Fidelity knobs for the simulation- and codec-backed experiments;
+/// `crx repro` sets them from `--replicas`, `--failures`, `--mb` and
+/// `--seed`.
 #[derive(Debug, Clone, Copy)]
 pub struct ReproOpts {
     /// Simulation replicas per data point.
@@ -32,24 +28,19 @@ pub struct ReproOpts {
     pub seed: u64,
 }
 
-impl ReproOpts {
-    /// Reads the knobs from the environment with the documented
-    /// defaults.
-    pub fn from_env() -> Self {
-        let get = |name: &str, default: u64| -> u64 {
-            env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
+impl Default for ReproOpts {
+    /// 4 replicas, 2000 failures, 8 MiB images, seed 42.
+    fn default() -> Self {
         ReproOpts {
-            replicas: get("REPRO_REPLICAS", 4),
-            failures: get("REPRO_FAILURES", 2000),
-            image_mb: get("REPRO_MB", 8) as usize,
-            seed: get("REPRO_SEED", 42),
+            replicas: 4,
+            failures: 2000,
+            image_mb: 8,
+            seed: 42,
         }
     }
+}
 
+impl ReproOpts {
     /// Tiny settings for integration tests.
     pub fn quick() -> Self {
         ReproOpts {

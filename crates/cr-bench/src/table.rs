@@ -1,4 +1,6 @@
-//! Plain-text table rendering for the repro binaries.
+//! Plain-text table rendering for the `crx repro` reports.
+
+use std::fmt::{self, Write};
 
 /// A simple left-programmed text table: first column left-aligned,
 /// remaining columns right-aligned, widths fitted to content.
@@ -60,34 +62,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Renders as comma-separated values.
-    pub fn render_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &str| -> String {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(
-                &row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","),
-            );
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a ratio as a percentage with one decimal.
@@ -95,15 +69,9 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
-/// Prints a titled table, honoring `REPRO_CSV=1` for CSV output.
-pub fn emit(title: &str, table: &TextTable) {
-    println!("== {title} ==");
-    if std::env::var("REPRO_CSV").as_deref() == Ok("1") {
-        print!("{}", table.render_csv());
-    } else {
-        print!("{}", table.render());
-    }
-    println!();
+/// Appends a titled table followed by a blank line.
+pub fn emit(out: &mut String, title: &str, table: &TextTable) -> fmt::Result {
+    write!(out, "== {title} ==\n{}\n", table.render())
 }
 
 #[cfg(test)]
@@ -121,14 +89,6 @@ mod tests {
         // Right alignment of the numeric column.
         let lines: Vec<&str> = s.lines().collect();
         assert!(lines[2].ends_with("51.0%"));
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = TextTable::new(vec!["a", "b"]);
-        t.row(vec!["x,y", "2"]);
-        let csv = t.render_csv();
-        assert!(csv.contains("\"x,y\""));
     }
 
     #[test]

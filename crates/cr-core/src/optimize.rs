@@ -26,8 +26,8 @@ pub struct PolicyChoice {
 
 /// Multipliers applied to Daly's optimum interval to form the candidate
 /// grid (the response surface is flat near the optimum, so a coarse
-/// multiplicative grid suffices — see the `repro_ablations` interval
-/// study).
+/// multiplicative grid suffices — see the interval study in `crx repro
+/// ablations`).
 pub const INTERVAL_MULTIPLIERS: [f64; 7] =
     [0.5, 0.7, 0.85, 1.0, 1.2, 1.5, 2.0];
 

@@ -1,12 +1,12 @@
 //! `crx` — checkpoint/restart explorer.
 //!
-//! A command-line front end over the workspace: project exascale
-//! systems, evaluate C/R strategies with the analytic model and the
-//! simulator, find optimal checkpoint ratios, sweep parameters, and run
-//! the compression study.
+//! A command-line front end over the workspace: print the paper's
+//! tables and figures, evaluate C/R strategies with the analytic model
+//! and the simulator, find optimal checkpoint ratios, sweep parameters,
+//! and run the compression study.
 //!
 //! ```sh
-//! crx project
+//! crx repro fig6 --replicas 6 --failures 3000
 //! crx evaluate --strategy ndp --p-local 0.85 --compress 0.73
 //! crx ratio --p-local 0.8
 //! crx sweep --param mtti --from 30 --to 150 --steps 5 --strategy ndp
@@ -84,6 +84,15 @@ impl Flags {
             Some(v) => v
                 .parse()
                 .map_err(|_| format!("--{key}: not an integer: {v}")),
+        }
+    }
+
+    /// [`Flags::get_usize`] that must also be `>= 1` (a replica count
+    /// or an image size).
+    fn get_count(&self, key: &str, default: usize) -> Result<usize, String> {
+        match self.get_usize(key, default)? {
+            0 => Err(format!("--{key} must be >= 1, got 0")),
+            n => Ok(n),
         }
     }
 
@@ -169,7 +178,9 @@ crx — checkpoint/restart explorer
 USAGE: crx <command> [flags]
 
 COMMANDS:
-  project    print the exascale projection (Table 1) and derived C/R needs
+  repro ID   print one paper table or figure; ID is one of
+             fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9
+             table1 table2 table3 ablations
   evaluate   evaluate one strategy on a system (analytic + simulation)
   ratio      find the optimal locally-saved:I/O-saved checkpoint ratio
   sweep      sweep mtti|size|p-local and print CSV progress rates
@@ -214,9 +225,15 @@ OBS DIFF (crx obs diff <baseline.json> <current.json>):
   --tol F        default relative tolerance    [0.05]
   --tol-key K=F  per-key override (repeatable, flattened dotted key)
 
-OTHER:
-  --replicas N   simulation replicas           [4]
+REPRO FLAGS:
+  --seed N       base seed                     [42]
+  --replicas N   simulation replicas per point [4]
   --failures N   failures per replica          [2000]
+  --mb N         table2/table3 image size, MiB [8]
+
+OTHER:
+  --replicas N   simulation replicas           [evaluate 4, sweep 3]
+  --failures N   failures per replica          [evaluate 2000, sweep 1500]
   --mb N         study image size in MiB       [4]
 ";
 
@@ -229,42 +246,24 @@ fn ensure_parent_dir(path: &str) {
     }
 }
 
-fn cmd_project(_flags: &Flags) -> Result<(), String> {
-    use ndp_checkpoint::cr_core::projection::ExascaleProjection;
-    let p = ExascaleProjection::paper_default();
-    println!("exascale projection (scaled from Titan Cray XK7):");
-    println!("  nodes                : {}", p.node_count);
-    println!("  node peak            : {:.0} TF", p.node_peak / TFLOPS);
-    println!("  node memory          : {}", fmt_bytes(p.node_memory));
-    println!("  system memory        : {}", fmt_bytes(p.system_memory));
-    println!("  I/O bandwidth        : {}", fmt_rate(p.io_bw));
-    println!(
-        "  system MTTI          : {:.0} min (socket model: {:.1} min)",
-        p.mtti / MINUTE,
-        p.derived_mtti / MINUTE
-    );
-    println!("derived C/R requirements for 90% progress:");
-    println!(
-        "  checkpoint size      : {} per node",
-        fmt_bytes(p.checkpoint_bytes)
-    );
-    println!(
-        "  commit time          : {:.1} s  (bandwidth {})",
-        p.required_commit_time,
-        fmt_rate(p.required_commit_bw)
-    );
-    println!(
-        "  per-node I/O share   : {} -> {} per checkpoint",
-        fmt_rate(p.io_bw_per_node),
-        fmt_secs(p.t_io_per_node())
-    );
+fn cmd_repro(flags: &Flags) -> Result<(), String> {
+    use cr_bench::{repro, ReproOpts};
+    let d = ReproOpts::default();
+    let opts = ReproOpts {
+        replicas: flags.get_count("replicas", d.replicas as usize)? as u64,
+        failures: flags.get_usize("failures", d.failures as usize)? as u64,
+        image_mb: flags.get_count("mb", d.image_mb)?,
+        seed: flags.get_usize("seed", d.seed as usize)? as u64,
+    };
+    let id = flags.positional.get(1).map_or("", String::as_str);
+    print!("{}", repro::render(id, &opts)?);
     Ok(())
 }
 
 fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
     let sys = system_from(flags)?;
     let strat = strategy_from(flags, &sys)?;
-    let replicas = flags.get_usize("replicas", 4)? as u64;
+    let replicas = flags.get_count("replicas", 4)? as u64;
     let failures = flags.get_usize("failures", 2000)? as u64;
 
     let sol = analytic::solve_cycle(&sys, &strat);
@@ -331,7 +330,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
         flags.get_f64("to", 150.0)?,
     );
     let steps = flags.get_usize("steps", 5)?.max(2);
-    let replicas = flags.get_usize("replicas", 3)? as u64;
+    let replicas = flags.get_count("replicas", 3)? as u64;
     let failures = flags.get_usize("failures", 1500)? as u64;
 
     println!("{param},analytic,simulated");
@@ -377,7 +376,7 @@ fn cmd_study(flags: &Flags) -> Result<(), String> {
     use ndp_checkpoint::cr_compress::measure::measure;
     use ndp_checkpoint::cr_compress::registry::study_codecs;
     use ndp_checkpoint::cr_workloads::{all_mini_apps, CheckpointGenerator};
-    let mb = flags.get_usize("mb", 4)?;
+    let mb = flags.get_count("mb", 4)?;
     println!("app,codec,factor,compress_mbps,decompress_mbps");
     for app in all_mini_apps() {
         let image = app.generate(mb << 20, 1);
@@ -520,7 +519,7 @@ fn observed_fleet(
     use ndp_checkpoint::cr_sim::{run_fleet_observed, SimFaults};
     let sys = system_from(flags)?;
     let strat = strategy_from(flags, &sys)?;
-    let replicas = flags.get_usize("replicas", default_replicas)?.max(1) as u64;
+    let replicas = flags.get_count("replicas", default_replicas)? as u64;
     let opts = SimOptions {
         seed: flags.get_usize("seed", 42)? as u64,
         min_failures: flags.get_usize("failures", default_failures)? as u64,
@@ -697,7 +696,7 @@ fn run() -> Result<(), String> {
         return Ok(());
     }
     match flags.positional[0].as_str() {
-        "project" => cmd_project(&flags),
+        "repro" => cmd_repro(&flags),
         "evaluate" => cmd_evaluate(&flags),
         "ratio" => cmd_ratio(&flags),
         "sweep" => cmd_sweep(&flags),

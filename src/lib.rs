@@ -20,8 +20,8 @@
 //!   metrics registry and stage profiler shared by every crate above,
 //!   all zero-overhead when disabled.
 //!
-//! The `cr-bench` crate (not re-exported; it is a binary/bench crate)
-//! regenerates every table and figure of the paper — see `DESIGN.md`
+//! The `cr-bench` crate (not re-exported) regenerates every table and
+//! figure of the paper; `crx repro <id>` prints them — see `DESIGN.md`
 //! and `EXPERIMENTS.md`.
 //!
 //! ## Two-minute tour

@@ -77,7 +77,7 @@ fn json_event_stream_is_deterministic() {
     assert_eq!(a, b);
 }
 
-/// Golden Fig. 3 panel (a) — `repro_fig3`'s host-writes-to-I/O
+/// Golden Fig. 3 panel (a) — `crx repro fig3`'s host-writes-to-I/O
 /// timeline (seed 3, failure-free, 2800 s window, 100 columns) — drawn
 /// from the events of an observed run. Pins the engine's span/mark
 /// names and times and the renderer's characters, clipping and legend.

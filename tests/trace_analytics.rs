@@ -234,6 +234,13 @@ fn crx_rejects_bad_numeric_flags() {
         &["evaluate", "--interval", "nan"],
         &["trace", "--mtti", "-5"],
         &["sweep", "--param", "mtti", "--from", "0"],
+        &["evaluate", "--replicas", "0"],
+        &["sweep", "--replicas", "0"],
+        &["report", "--replicas", "0"],
+        &["repro", "fig8", "--replicas", "0"],
+        &["study", "--mb", "0"],
+        &["repro", "table2", "--mb", "0"],
+        &["repro", "nosuch"],
     ];
     for args in cases {
         let out = Command::new(crx).args(*args).output().expect("run crx");
@@ -241,5 +248,10 @@ fn crx_rejects_bad_numeric_flags() {
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        if args[0] == "repro" && args[1] == "nosuch" {
+            for id in cr_bench::repro::ids() {
+                assert!(stderr.contains(id), "{id} not listed: {stderr}");
+            }
+        }
     }
 }
