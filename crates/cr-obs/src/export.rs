@@ -204,41 +204,40 @@ fn unique_async_id(pid: usize, span_id: u64) -> u64 {
     ((pid as u64) << 32) | (span_id & 0xFFFF_FFFF)
 }
 
+/// Renders the rows as one compact `{"traceEvents": [...],
+/// "displayTimeUnit": "ms"}` line plus a newline. A non-finite `ts`
+/// renders as `0` (not `null`) so the document still validates.
 fn render(rows: &[Row]) -> String {
-    let mut s = String::with_capacity(rows.len() * 96 + 64);
-    s.push_str("{\"traceEvents\":[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("\n{\"name\":\"");
-        json::escape_into(&mut s, &r.name);
-        s.push_str("\",\"cat\":\"");
-        s.push_str(r.cat);
-        s.push_str("\",\"ph\":\"");
-        s.push(r.phase as char);
-        s.push_str("\",\"ts\":");
-        if r.ts.is_finite() {
-            s.push_str(&format!("{}", r.ts));
-        } else {
-            s.push('0');
-        }
-        s.push_str(&format!(",\"pid\":{},\"tid\":{}", r.pid, r.tid));
-        if r.id != 0 {
-            s.push_str(&format!(",\"id\":{}", r.id));
-        }
-        if r.phase == b'i' {
-            s.push_str(",\"s\":\"t\"");
-        }
-        if let Some(intr) = r.interrupted {
-            s.push_str(",\"args\":{\"interrupted\":");
-            s.push_str(if intr { "true" } else { "false" });
-            s.push('}');
-        }
-        s.push('}');
-    }
-    s.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    s
+    let num = |v: u64| Value::Num(v as f64);
+    let events = rows
+        .iter()
+        .map(|r| {
+            let mut fields = vec![
+                ("name", Value::Str(r.name.clone())),
+                ("cat", Value::Str(r.cat.into())),
+                ("ph", Value::Str(char::from(r.phase).into())),
+                ("ts", Value::Num(if r.ts.is_finite() { r.ts } else { 0.0 })),
+                ("pid", num(r.pid as u64)),
+                ("tid", num(r.tid.into())),
+            ];
+            if r.id != 0 {
+                fields.push(("id", num(r.id)));
+            }
+            if r.phase == b'i' {
+                fields.push(("s", Value::Str("t".into())));
+            }
+            if let Some(intr) = r.interrupted {
+                let args = vec![("interrupted".into(), Value::Bool(intr))];
+                fields.push(("args", Value::Obj(args)));
+            }
+            Value::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        })
+        .collect();
+    let doc = Value::Obj(vec![
+        ("traceEvents".into(), Value::Arr(events)),
+        ("displayTimeUnit".into(), Value::Str("ms".into())),
+    ]);
+    doc.render_line() + "\n"
 }
 
 /// Renders the simulator's Figure 3 timeline between `from` and `to`

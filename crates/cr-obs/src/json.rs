@@ -1,6 +1,8 @@
-//! Minimal JSON support shared by the observability plane: string
-//! escaping for the hand-rolled writers, a [`Value`] that renders
-//! result files (`Value::render`), and a small recursive-descent
+//! Minimal JSON support shared by the observability plane: a [`Value`]
+//! that is the workspace's one JSON writer — [`Value::render`]
+//! (indented: `metrics/v1`, `indicators/v1`, result files) and
+//! [`Value::render_line`] (compact: event lines, Chrome traces) share
+//! one walker — plus string escaping and a small recursive-descent
 //! parser used by the regression gate (`crx obs diff`), the exporters'
 //! round-trip tests, and `indicators/v1` loading.
 //!
@@ -11,9 +13,8 @@
 //! parse round trip is stable.
 
 /// Appends `raw` to `s` with JSON string escaping (quotes, backslash,
-/// and control characters). The writers in this crate all funnel
-/// through here so every emitted string is valid JSON regardless of
-/// its content.
+/// and control characters). Every string [`Value`] renders funnels
+/// through here, so the output is valid JSON whatever the content.
 pub fn escape_into(s: &mut String, raw: &str) {
     for c in raw.chars() {
         match c {
@@ -38,7 +39,9 @@ pub enum Value {
     /// `true` / `false`.
     Bool(bool),
     /// Any JSON number (parsed as `f64`). Integers below 2⁵³ are
-    /// exact and render without a fraction.
+    /// exact and render without a fraction; larger ones (a `u64`
+    /// counter, sum or bucket bound at or above 2⁵³) render rounded to
+    /// the nearest `f64`, which is also how [`parse`] reads them.
     Num(f64),
     /// A string (escapes decoded).
     Str(String),
@@ -96,44 +99,74 @@ impl Value {
     /// `null`, so the output always parses.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: usize) {
+    /// Renders compactly on one line (no spaces, no trailing newline),
+    /// by the same rules as [`Value::render`]: the JSON-lines and
+    /// Chrome-trace layout.
+    pub fn render_line(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// The one walker behind both layouts: `indent` is the nesting
+    /// depth for the indented layout, `None` for the compact one.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Num(n) if n.is_finite() => out.push_str(&n.to_string()),
             Value::Num(_) => out.push_str("null"),
             Value::Str(s) => write_str(out, s),
-            Value::Arr(items) if items.is_empty() => out.push_str("[]"),
             Value::Arr(items) => {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    pad(out, indent + 1);
-                    item.write(out, indent + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                pad(out, indent);
-                out.push(']');
+                let items = items.iter().map(|v| (None, v));
+                write_seq(out, indent, ('[', ']'), items)
             }
-            Value::Obj(members) if members.is_empty() => out.push_str("{}"),
-            Value::Obj(members) => {
-                out.push_str("{\n");
-                for (i, (k, v)) in members.iter().enumerate() {
-                    pad(out, indent + 1);
-                    write_str(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                    out.push_str(if i + 1 < members.len() { ",\n" } else { "\n" });
-                }
-                pad(out, indent);
-                out.push('}');
-            }
+            Value::Obj(members) => write_seq(
+                out,
+                indent,
+                ('{', '}'),
+                members.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
         }
     }
+}
+
+/// Writes an array (every `key` is `None`) or an object; an empty one
+/// stays `[]` / `{}` in both layouts.
+fn write_seq<'a>(
+    out: &mut String,
+    indent: Option<usize>,
+    (open, close): (char, char),
+    items: impl Iterator<Item = (Option<&'a str>, &'a Value)>,
+) {
+    out.push(open);
+    let inner = indent.map(|d| d + 1);
+    let mut empty = true;
+    for (key, v) in items {
+        if !empty {
+            out.push(',');
+        }
+        if let Some(d) = inner {
+            out.push('\n');
+            pad(out, d);
+        }
+        if let Some(k) = key {
+            write_str(out, k);
+            out.push_str(if indent.is_some() { ": " } else { ":" });
+        }
+        v.write(out, inner);
+        empty = false;
+    }
+    if let (Some(d), false) = (indent, empty) {
+        out.push('\n');
+        pad(out, d);
+    }
+    out.push(close);
 }
 
 fn write_str(out: &mut String, s: &str) {
@@ -436,8 +469,16 @@ mod tests {
         assert!(text.contains("\"count\": 9007199254740991,"), "{text}");
         assert!(text.ends_with("}\n"));
         assert_eq!(parse(&text).unwrap(), v);
+        // The compact layout: one line, no spaces, same value back.
+        let line = v.render_line();
+        let head = "{\"schema\":\"chaos/v1\",\"count\":9007199254740991,";
+        assert!(line.starts_with(head), "{line}");
+        assert!(line.ends_with("\"empty\":[]}"), "{line}");
+        assert!(!line.contains('\n'), "{line}");
+        assert_eq!(parse(&line).unwrap(), v);
         // Non-finite numbers have no JSON spelling: they become null.
         assert_eq!(Value::Num(f64::NAN).render(), "null\n");
+        assert_eq!(Value::Num(f64::INFINITY).render_line(), "null");
     }
 
     #[test]

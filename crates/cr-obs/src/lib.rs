@@ -8,17 +8,21 @@
 //! pieces:
 //!
 //! 1. A structured **event bus** ([`Bus`]): producers emit [`Event`]s
-//!    into a pluggable [`EventSink`] ([`VecSink`], bounded
-//!    [`RingSink`], or eagerly-rendering [`JsonLinesSink`]). A
-//!    disabled bus is the default and costs one branch per emission
-//!    site; event construction is wrapped in a closure
-//!    ([`Bus::emit_with`]) so a disabled bus never allocates.
+//!    into a pluggable [`EventSink`] ([`VecSink`] or bounded
+//!    [`RingSink`], both rendering JSON lines on demand). A disabled
+//!    bus is the default and costs one branch per emission site;
+//!    event construction is wrapped in a closure ([`Bus::emit_with`])
+//!    so a disabled bus never allocates.
 //! 2. A **metrics registry** ([`metrics::Metrics`]): counters, gauges
 //!    and log2-bucketed histograms, snapshotted to the `metrics/v1`
 //!    JSON schema.
 //! 3. A **stage profiler** ([`stage`]): global, lock-free
 //!    tokenize/entropy/frame/ship timers the hot path can feed from
 //!    any worker thread, off by default.
+//!
+//! Every JSON document the crate writes — event lines, `metrics/v1`,
+//! `indicators/v1`, Chrome traces — is built as a [`json::Value`] and
+//! rendered by its one writer.
 //!
 //! Everything here is observational: emitting an event never draws
 //! randomness, never changes control flow, and never feeds back into
@@ -32,6 +36,8 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex};
+
+use json::Value;
 
 pub mod analyze;
 pub mod export;
@@ -258,121 +264,81 @@ pub struct Event {
 }
 
 impl Event {
-    /// Renders the event as one line of JSON (no trailing newline).
-    /// Field order is fixed, so same event stream ⇒ same bytes.
+    /// Renders the event as one line of JSON (no trailing newline):
+    /// `t`, `source`, `kind`, then the kind's payload fields. Field
+    /// order is fixed, so same event stream ⇒ same bytes.
     pub fn json_line(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push_str("{\"t\":");
-        push_f64(&mut s, self.t);
-        s.push_str(",\"source\":\"");
-        s.push_str(self.source.name());
-        s.push_str("\",\"kind\":\"");
-        s.push_str(self.kind.name());
-        s.push('"');
-        match &self.kind {
+        let n = |v: u64| Value::Num(v as f64);
+        let s = |v: &str| Value::Str(v.to_string());
+        let payload = match self.kind {
             EventKind::Span {
                 lane,
                 span,
                 t0,
                 t1,
                 interrupted,
-            } => {
-                push_str_field(&mut s, "lane", lane);
-                push_str_field(&mut s, "span", span);
-                s.push_str(",\"t0\":");
-                push_f64(&mut s, *t0);
-                s.push_str(",\"t1\":");
-                push_f64(&mut s, *t1);
-                s.push_str(",\"interrupted\":");
-                s.push_str(if *interrupted { "true" } else { "false" });
-            }
-            EventKind::Mark { mark } => {
-                push_str_field(&mut s, "mark", mark);
-            }
+            } => vec![
+                ("lane", s(lane)),
+                ("span", s(span)),
+                ("t0", Value::Num(t0)),
+                ("t1", Value::Num(t1)),
+                ("interrupted", Value::Bool(interrupted)),
+            ],
+            EventKind::Mark { mark } => vec![("mark", s(mark))],
             EventKind::Failure { level } | EventKind::Recovery { level } => {
-                s.push_str(",\"level\":");
-                s.push_str(&level.to_string());
+                vec![("level", n(level.into()))]
             }
             EventKind::DrainStart { job, bytes } => {
-                push_u64(&mut s, "job", *job);
-                push_u64(&mut s, "bytes", *bytes);
+                vec![("job", n(job)), ("bytes", n(bytes))]
             }
             EventKind::DrainPause
             | EventKind::DrainResume
-            | EventKind::LockContention => {}
+            | EventKind::LockContention => vec![],
             EventKind::DrainSpill { bytes } | EventKind::Eviction { bytes } => {
-                push_u64(&mut s, "bytes", *bytes);
+                vec![("bytes", n(bytes))]
             }
             EventKind::DrainRetry {
                 site,
                 attempt,
                 backoff_steps,
-            } => {
-                push_str_field(&mut s, "site", site);
-                push_u64(&mut s, "attempt", *attempt as u64);
-                push_u64(&mut s, "backoff_steps", *backoff_steps);
-            }
+            } => vec![
+                ("site", s(site)),
+                ("attempt", n(attempt.into())),
+                ("backoff_steps", n(backoff_steps)),
+            ],
             EventKind::DrainDegrade { job } | EventKind::DrainCancel { job } => {
-                push_u64(&mut s, "job", *job);
+                vec![("job", n(job))]
             }
             EventKind::DrainComplete { job, bytes_out } => {
-                push_u64(&mut s, "job", *job);
-                push_u64(&mut s, "bytes_out", *bytes_out);
+                vec![("job", n(job)), ("bytes_out", n(bytes_out))]
             }
             EventKind::ObjectBegin { key } | EventKind::ObjectAbort { key } => {
-                push_u64(&mut s, "key", *key);
+                vec![("key", n(key))]
             }
             EventKind::ObjectSeal { key, bytes } => {
-                push_u64(&mut s, "key", *key);
-                push_u64(&mut s, "bytes", *bytes);
+                vec![("key", n(key)), ("bytes", n(bytes))]
             }
             EventKind::Fault { site, step } => {
-                push_str_field(&mut s, "site", site);
-                push_u64(&mut s, "step", *step);
+                vec![("site", s(site)), ("step", n(step))]
             }
             EventKind::SpanOpen { id, parent, name } => {
-                push_u64(&mut s, "id", *id);
-                push_u64(&mut s, "parent", *parent);
-                push_str_field(&mut s, "name", name);
+                vec![("id", n(id)), ("parent", n(parent)), ("name", s(name))]
             }
-            EventKind::SpanClose { id } => {
-                push_u64(&mut s, "id", *id);
-            }
-            EventKind::DrainStall { cause } => {
-                push_str_field(&mut s, "cause", cause);
-            }
-        }
-        s.push('}');
-        s
-    }
-}
-
-fn push_u64(s: &mut String, key: &str, v: u64) {
-    s.push_str(",\"");
-    s.push_str(key);
-    s.push_str("\":");
-    s.push_str(&v.to_string());
-}
-
-/// Appends `,"key":"value"` with the value JSON-escaped — string
-/// payloads (span/mark/site names) must never break the JSON-lines
-/// stream, whatever characters they carry.
-fn push_str_field(s: &mut String, key: &str, value: &str) {
-    s.push_str(",\"");
-    s.push_str(key);
-    s.push_str("\":\"");
-    json::escape_into(s, value);
-    s.push('"');
-}
-
-/// Appends a JSON-safe rendering of `v`: Rust's shortest-roundtrip
-/// formatting for finite values, `null` otherwise (JSON has no
-/// infinities).
-fn push_f64(s: &mut String, v: f64) {
-    if v.is_finite() {
-        s.push_str(&format!("{v}"));
-    } else {
-        s.push_str("null");
+            EventKind::SpanClose { id } => vec![("id", n(id))],
+            EventKind::DrainStall { cause } => vec![("cause", s(cause))],
+        };
+        let head = [
+            ("t", Value::Num(self.t)),
+            ("source", s(self.source.name())),
+            ("kind", s(self.kind.name())),
+        ];
+        Value::Obj(
+            head.into_iter()
+                .chain(payload)
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+        .render_line()
     }
 }
 
@@ -381,9 +347,9 @@ fn push_f64(s: &mut String, v: f64) {
 pub trait EventSink: Send {
     /// Record one event.
     fn record(&mut self, ev: &Event);
-    /// Take back whatever events the sink retained, clearing it.
-    /// Sinks that render eagerly (e.g. [`JsonLinesSink`]) return an
-    /// empty vector.
+    /// Take back whatever events the sink retained, clearing it (a
+    /// sink that keeps nothing, such as a pure counter, returns an
+    /// empty vector).
     fn drain(&mut self) -> Vec<Event>;
     /// Render the sink's retained content as JSON lines (one event
     /// per line). Does not clear the sink.
@@ -481,43 +447,6 @@ impl EventSink for RingSink {
 
     fn dropped(&self) -> u64 {
         self.dropped
-    }
-}
-
-/// A sink that renders each event to a JSON line eagerly and keeps
-/// only the text — the shape you want when the events are headed for
-/// a file and need not be queried.
-#[derive(Debug, Default)]
-pub struct JsonLinesSink {
-    lines: String,
-    count: u64,
-}
-
-impl JsonLinesSink {
-    /// New empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of events rendered.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
-impl EventSink for JsonLinesSink {
-    fn record(&mut self, ev: &Event) {
-        self.lines.push_str(&ev.json_line());
-        self.lines.push('\n');
-        self.count += 1;
-    }
-
-    fn drain(&mut self) -> Vec<Event> {
-        Vec::new()
-    }
-
-    fn render(&self) -> String {
-        self.lines.clone()
     }
 }
 
@@ -628,7 +557,7 @@ impl Bus {
     }
 
     /// Drains retained events out of the sink (empty for a disabled
-    /// bus or an eagerly-rendering sink).
+    /// bus or a sink that retains nothing).
     pub fn drain(&self) -> Vec<Event> {
         match &self.inner {
             Some(inner) => inner.sink.lock().unwrap().drain(),
@@ -824,17 +753,6 @@ mod tests {
             kind: EventKind::Mark { mark: "failure" },
         };
         assert!(bad.json_line().starts_with("{\"t\":null,"));
-    }
-
-    #[test]
-    fn json_sink_renders_eagerly_and_retains_nothing() {
-        let bus = Bus::with_sink(JsonLinesSink::new());
-        bus.emit(ev(0.0, EventKind::LockContention));
-        bus.emit(ev(1.0, EventKind::DrainResume));
-        let text = bus.render();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.contains("\"kind\":\"lock_contention\""));
-        assert!(bus.drain().is_empty());
     }
 
     #[test]

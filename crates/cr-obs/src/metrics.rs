@@ -9,6 +9,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::Value;
+
 /// Number of histogram buckets: bucket 0 holds the value `0`, bucket
 /// `i ≥ 1` holds values in `[2^(i-1), 2^i - 1]`, up to bucket 64 for
 /// values in `[2^63, u64::MAX]`.
@@ -174,105 +176,50 @@ impl Metrics {
         self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
     }
 
-    /// Renders the registry as a `metrics/v1` JSON document:
+    /// Renders the registry as a `metrics/v1` JSON document in the
+    /// [`Value::render`] layout; in compact form:
     ///
     /// ```json
-    /// {
-    ///   "schema": "metrics/v1",
-    ///   "label": "...",
-    ///   "counters": { "name": 3, ... },
-    ///   "gauges": { "name": 1.5, ... },
-    ///   "histograms": {
-    ///     "name": { "count": 4, "sum": 10,
-    ///               "buckets": [ { "le": 3, "count": 4 } ] }
-    ///   }
-    /// }
+    /// {"schema": "metrics/v1", "label": "...",
+    ///  "counters": {"name": 3}, "gauges": {"name": 1.5},
+    ///  "histograms": {"name": {"count": 4, "sum": 10,
+    ///                          "buckets": [{"le": 3, "count": 4}]}}}
     /// ```
     ///
     /// Keys are sorted, empty buckets are omitted, and non-finite
     /// gauges render as `null`, so the same registry always produces
-    /// the same bytes.
+    /// the same bytes. Integers at or above 2⁵³ render rounded (see
+    /// [`Value::Num`]).
     pub fn to_json(&self, label: &str) -> String {
-        let mut s = String::with_capacity(256);
-        s.push_str("{\n  \"schema\": \"metrics/v1\",\n  \"label\": \"");
-        push_escaped(&mut s, label);
-        s.push_str("\",\n  \"counters\": {");
-        let mut first = true;
-        for (name, v) in &self.counters {
-            push_key(&mut s, &mut first, name, 4);
-            s.push_str(&v.to_string());
-        }
-        close_obj(&mut s, first, 2);
-        s.push_str(",\n  \"gauges\": {");
-        let mut first = true;
-        for (name, v) in &self.gauges {
-            push_key(&mut s, &mut first, name, 4);
-            if v.is_finite() {
-                s.push_str(&format!("{v}"));
-            } else {
-                s.push_str("null");
-            }
-        }
-        close_obj(&mut s, first, 2);
-        s.push_str(",\n  \"histograms\": {");
-        let mut first = true;
-        for (name, h) in &self.hists {
-            push_key(&mut s, &mut first, name, 4);
-            s.push_str("{ \"count\": ");
-            s.push_str(&h.count.to_string());
-            s.push_str(", \"sum\": ");
-            s.push_str(&h.sum.to_string());
-            s.push_str(", \"buckets\": [");
-            let mut bfirst = true;
-            for (i, &c) in h.buckets.iter().enumerate() {
-                if c == 0 {
-                    continue;
-                }
-                if !bfirst {
-                    s.push_str(", ");
-                }
-                bfirst = false;
-                s.push_str("{ \"le\": ");
-                s.push_str(&bucket_bound(i).to_string());
-                s.push_str(", \"count\": ");
-                s.push_str(&c.to_string());
-                s.push_str(" }");
-            }
-            s.push_str("] }");
-        }
-        close_obj(&mut s, first, 2);
-        s.push_str("\n}\n");
-        s
+        let n = |v: u64| Value::Num(v as f64);
+        let hist = |h: &Hist| {
+            let buckets = (0..HIST_BUCKETS)
+                .filter(|&i| h.buckets[i] != 0)
+                .map(|i| {
+                    Value::Obj(vec![
+                        ("le".into(), n(bucket_bound(i))),
+                        ("count".into(), n(h.buckets[i])),
+                    ])
+                })
+                .collect();
+            Value::Obj(vec![
+                ("count".into(), n(h.count)),
+                ("sum".into(), n(h.sum)),
+                ("buckets".into(), Value::Arr(buckets)),
+            ])
+        };
+        let counters = self.counters.iter().map(|(k, &v)| (k.clone(), n(v)));
+        let gauges = self.gauges.iter().map(|(k, &v)| (k.clone(), Value::Num(v)));
+        let hists = self.hists.iter().map(|(k, h)| (k.clone(), hist(h)));
+        Value::Obj(vec![
+            ("schema".into(), Value::Str("metrics/v1".into())),
+            ("label".into(), Value::Str(label.into())),
+            ("counters".into(), Value::Obj(counters.collect())),
+            ("gauges".into(), Value::Obj(gauges.collect())),
+            ("histograms".into(), Value::Obj(hists.collect())),
+        ])
+        .render()
     }
-}
-
-fn push_key(s: &mut String, first: &mut bool, name: &str, indent: usize) {
-    if !*first {
-        s.push(',');
-    }
-    *first = false;
-    s.push('\n');
-    for _ in 0..indent {
-        s.push(' ');
-    }
-    s.push('"');
-    push_escaped(s, name);
-    s.push_str("\": ");
-}
-
-fn close_obj(s: &mut String, empty: bool, indent: usize) {
-    if !empty {
-        s.push('\n');
-        for _ in 0..indent {
-            s.push(' ');
-        }
-    }
-    s.push('}');
-}
-
-/// Minimal JSON string escaping, shared with the event writer.
-fn push_escaped(s: &mut String, raw: &str) {
-    crate::json::escape_into(s, raw);
 }
 
 #[cfg(test)]
@@ -379,7 +326,38 @@ mod tests {
         // Sorted keys: a_first before z_last.
         assert!(a.find("a_first").unwrap() < a.find("z_last").unwrap());
         assert!(a.contains("\"weird\": null"));
-        assert!(a.contains("\"count\": 2, \"sum\": 303"));
+        // Every number parses back to what the registry holds.
+        let doc = crate::json::parse(&a).unwrap();
+        let section = |name: &str| doc.get(name).unwrap();
+        let len = |name: &str| section(name).as_obj().unwrap().len();
+        let num = |v: Option<&Value>| v.and_then(Value::as_f64).unwrap();
+        assert_eq!(len("counters"), m.counters.len());
+        for (k, &v) in &m.counters {
+            assert_eq!(num(section("counters").get(k)), v as f64, "{k}");
+        }
+        assert_eq!(len("gauges"), m.gauges.len());
+        for (k, &v) in &m.gauges {
+            let want = if v.is_finite() { Value::Num(v) } else { Value::Null };
+            assert_eq!(section("gauges").get(k), Some(&want), "{k}");
+        }
+        assert_eq!(len("histograms"), m.hists.len());
+        for (k, h) in &m.hists {
+            let got = section("histograms").get(k).unwrap();
+            assert_eq!(num(got.get("count")), h.count() as f64, "{k}");
+            assert_eq!(num(got.get("sum")), h.sum() as f64, "{k}");
+            let buckets: Vec<(f64, f64)> = got
+                .get("buckets")
+                .and_then(Value::as_arr)
+                .unwrap()
+                .iter()
+                .map(|b| (num(b.get("le")), num(b.get("count"))))
+                .collect();
+            let want: Vec<(f64, f64)> = (0..HIST_BUCKETS)
+                .filter(|&i| h.bucket(i) != 0)
+                .map(|i| (bucket_bound(i) as f64, h.bucket(i) as f64))
+                .collect();
+            assert_eq!(buckets, want, "{k}");
+        }
     }
 
     #[test]

@@ -87,8 +87,8 @@ impl Flags {
         }
     }
 
-    /// [`Flags::get_usize`] that must also be `>= 1` (a replica count
-    /// or an image size).
+    /// [`Flags::get_usize`] that must also be `>= 1` (a replica count,
+    /// an image size or a ring capacity).
     fn get_count(&self, key: &str, default: usize) -> Result<usize, String> {
         match self.get_usize(key, default)? {
             0 => Err(format!("--{key} must be >= 1, got 0")),
@@ -208,10 +208,11 @@ TRACE FLAGS:
   --seed N       replica seed                  [42]
   --failures N   failures to simulate          [25]
   --sink S       off | vec | ring | json       [vec]
-  --ring-cap N   ring sink capacity            [4096]
+                 (json = vec, then every event as a JSON line)
+  --ring-cap N   ring sink capacity (>= 1)     [4096]
   --from S       render window start, seconds  [0]
   --to S         render window end, seconds    [wall time]
-  --width N      render width in columns       [100]
+  --width N      render width (columns, >= 10) [100]
   --result-out F write the SimResult debug dump to F
   --metrics-out F write a metrics/v1 JSON snapshot to F
 
@@ -418,9 +419,7 @@ fn cmd_sizing(flags: &Flags) -> Result<(), String> {
 fn cmd_trace(flags: &Flags) -> Result<(), String> {
     use ndp_checkpoint::cr_obs::export::ascii_timeline;
     use ndp_checkpoint::cr_obs::metrics::Metrics;
-    use ndp_checkpoint::cr_obs::{
-        Bus, EventKind, JsonLinesSink, RingSink, VecSink,
-    };
+    use ndp_checkpoint::cr_obs::{Bus, EventKind, RingSink, VecSink};
     use ndp_checkpoint::cr_sim::{run_engine_observed, SimFaults};
 
     let sys = system_from(flags)?;
@@ -432,14 +431,17 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
         max_wall: 1e12,
     };
 
+    let width = flags.get_usize("width", 100)?;
+    if width < 10 {
+        return Err(format!("--width must be >= 10, got {width}"));
+    }
     let sink_name = flags.get("sink").unwrap_or("vec");
     let bus = match sink_name {
         "off" => Bus::disabled(),
-        "vec" => Bus::with_sink(VecSink::new()),
+        "vec" | "json" => Bus::with_sink(VecSink::new()),
         "ring" => {
-            Bus::with_sink(RingSink::new(flags.get_usize("ring-cap", 4096)?))
+            Bus::with_sink(RingSink::new(flags.get_count("ring-cap", 4096)?))
         }
-        "json" => Bus::with_sink(JsonLinesSink::new()),
         other => {
             return Err(format!("unknown --sink {other} (off|vec|ring|json)"))
         }
@@ -448,11 +450,10 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
     let result =
         run_engine_observed(&sys, &strat, &opts, &SimFaults::default(), &bus);
 
-    // The json sink renders eagerly; vec/ring retain events we can
-    // draw the timeline (and count metrics) from. Read the drop count
-    // before draining so it reflects the run just observed.
+    // The retained events draw the timeline and feed the metrics;
+    // `--sink json` also prints them as JSON lines. Read the drop
+    // count before draining so it reflects the run just observed.
     let dropped = bus.dropped();
-    let rendered = bus.render();
     let events = bus.drain();
 
     println!("strategy: {} | seed {}", strat.label(), opts.seed);
@@ -472,14 +473,15 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
     if !events.is_empty() {
         let from = flags.get_f64("from", 0.0)?;
         let to = flags.get_f64("to", result.stats.wall_time)?;
-        let width = flags.get_usize("width", 100)?.max(10);
         if to <= from {
             return Err(format!("--to ({to}) must exceed --from ({from})"));
         }
         print!("{}", ascii_timeline(&events, from, to, width));
     }
     if sink_name == "json" {
-        print!("{rendered}");
+        for e in &events {
+            println!("{}", e.json_line());
+        }
     }
 
     if let Some(path) = flags.get("result-out") {

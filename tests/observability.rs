@@ -8,7 +8,7 @@ use ndp_checkpoint::cr_node::ndp::StepOutcome;
 use ndp_checkpoint::cr_node::node::{ComputeNode, NodeConfig};
 use ndp_checkpoint::cr_obs::export::ascii_timeline;
 use ndp_checkpoint::cr_obs::metrics::{bucket_bound, bucket_index, Metrics};
-use ndp_checkpoint::cr_obs::{Bus, JsonLinesSink, RingSink, VecSink};
+use ndp_checkpoint::cr_obs::{Bus, RingSink, VecSink};
 use ndp_checkpoint::cr_sim::{
     run_engine_faulty, run_engine_observed, SimFaults, SimOptions,
 };
@@ -31,8 +31,8 @@ fn faults() -> SimFaults {
 }
 
 /// The tentpole guarantee: a pinned-seed simulation produces the same
-/// SimResult whether the bus is disabled or feeding a vec, ring, or
-/// JSON-lines sink.
+/// SimResult whether the bus is disabled or feeding a vec or ring
+/// sink.
 #[test]
 fn sim_results_are_identical_across_all_sinks() {
     let opts = SimOptions::quick(20260807);
@@ -41,7 +41,6 @@ fn sim_results_are_identical_across_all_sinks() {
         ("off", Bus::disabled()),
         ("vec", Bus::with_sink(VecSink::new())),
         ("ring", Bus::with_sink(RingSink::new(512))),
-        ("json", Bus::with_sink(JsonLinesSink::new())),
     ];
     for (name, bus) in buses {
         let r = run_engine_observed(&sys(), &strat(), &opts, &faults(), &bus);
@@ -67,7 +66,7 @@ fn sim_results_are_identical_across_all_sinks() {
 fn json_event_stream_is_deterministic() {
     let opts = SimOptions::quick(7);
     let render = |_: u32| {
-        let bus = Bus::with_sink(JsonLinesSink::new());
+        let bus = Bus::with_sink(VecSink::new());
         run_engine_observed(&sys(), &strat(), &opts, &faults(), &bus);
         bus.render()
     };

@@ -218,6 +218,52 @@ fn crx_obs_diff_exit_codes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `crx trace --sink json` observes the same run as `--sink vec`: the
+/// same event count in its header, a byte-equal metrics snapshot, and
+/// then every event as one JSON line.
+#[test]
+fn crx_trace_json_sink_matches_vec_sink() {
+    let crx = env!("CARGO_BIN_EXE_crx");
+    let dir = std::env::temp_dir()
+        .join(format!("trace_sinks_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let run = |sink: &str| {
+        let metrics = dir.join(format!("metrics_{sink}.json"));
+        let out = Command::new(crx)
+            .args(["trace", "--seed", "42", "--failures", "10", "--sink", sink])
+            .arg("--metrics-out")
+            .arg(&metrics)
+            .output()
+            .expect("run crx trace");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "--sink {sink}: {stderr}");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        (stdout, std::fs::read(&metrics).expect("metrics written"))
+    };
+    let (vec_out, vec_metrics) = run("vec");
+    let (json_out, json_metrics) = run("json");
+    let events = |stdout: &str| -> usize {
+        stdout
+            .lines()
+            .nth(1)
+            .and_then(|l| l.split("| events ").nth(1))
+            .and_then(|n| n.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no event count in {stdout}"))
+    };
+    let n = events(&vec_out);
+    assert!(n > 0, "{vec_out}");
+    assert_eq!(events(&json_out), n, "json header must count the events");
+    assert_eq!(json_metrics, vec_metrics, "metrics snapshots must match");
+    let lines = json_out
+        .strip_prefix(vec_out.as_str())
+        .expect("json output extends the vec output");
+    assert_eq!(lines.lines().count(), n);
+    for line in lines.lines() {
+        parse_json(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Bad numeric flags are `error:` lines with exit code 1 — never a
 /// panic (exit 101) and never a simulation that cannot finish.
 #[test]
@@ -233,6 +279,8 @@ fn crx_rejects_bad_numeric_flags() {
         &["evaluate", "--mtti", "inf"],
         &["evaluate", "--interval", "nan"],
         &["trace", "--mtti", "-5"],
+        &["trace", "--sink", "ring", "--ring-cap", "0"],
+        &["trace", "--width", "3"],
         &["sweep", "--param", "mtti", "--from", "0"],
         &["evaluate", "--replicas", "0"],
         &["sweep", "--replicas", "0"],
